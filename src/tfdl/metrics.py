@@ -40,8 +40,8 @@ def mmd_rbf(a, b, bandwidth=1.0):
     """Unbiased squared maximum mean discrepancy with an RBF kernel, clamped at 0."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("batches must be nonempty")
+    if len(a) < 2 or len(b) < 2:
+        raise ValueError("the unbiased estimate needs at least 2 samples per side")
 
     def pair_sq(u, v):
         return ((u[:, None, :] - v[None, :, :]) ** 2).sum(-1)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .distill import DistillConfig
+from .errors import ConfigurationError
 from .net import VelocityNet
 from .schedule import TimestepDistribution
 from .teacher import TeacherConfig
@@ -23,14 +24,6 @@ CKPT_SCHEMA = 1
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f")
-
-
-def max_threads():
-    """Parallelism cap from the TFDL_THREADS environment variable (>=1)."""
-    try:
-        return max(1, int(os.environ.get("TFDL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- run configuration -------------------------------------------------------
@@ -76,6 +69,9 @@ class RunConfig:
     @classmethod
     def from_json(cls, text):
         d = json.loads(text)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown config key(s): {', '.join(unknown)}")
         d["dataset"] = DatasetSpec(**d.get("dataset", {}))
         d["net"] = NetSpec(**d.get("net", {}))
         d["teacher"] = TeacherConfig(**d.get("teacher", {}))
@@ -86,8 +82,7 @@ class RunConfig:
         if "cfg_scales" in dd:
             dd["cfg_scales"] = tuple(dd["cfg_scales"])
         d["distill"] = DistillConfig(**dd)
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        return cls(**d)
 
 
 def build_net(cfg, n_classes, seed=0):

@@ -4,7 +4,9 @@ A ``StepSchedule`` lists strictly decreasing times ending at 0. Sampling
 alternates solution-point prediction with renoising at the next time using
 fresh noise. The search optimizes the maximum time first (as arctan(n/sigma_d)
 over an n-grid), then each later timestep in order with earlier ones held
-fixed, scoring every candidate with common random numbers.
+fixed, scoring every candidate with common random numbers. Because earlier
+steps and noise draws are shared, a round reuses the previous winner's
+prediction and costs one consistency pass per candidate.
 """
 
 from __future__ import annotations
@@ -50,20 +52,27 @@ def default_schedule(steps, sigma_d):
     raise ConfigurationError(f"unsupported step count {steps}; expected 1, 2 or 4")
 
 
+def _step(student, x, t, y, cfg, z=None):
+    """Renoise prediction ``x`` to time ``t`` with ``z`` (none on the first
+    step, where ``x`` is the initial noise), then predict the solution point."""
+    if z is not None:
+        x = np.cos(t) * x + np.sin(t) * z
+    return np.asarray(student.consistency(x, np.full(len(x), t), y, cfg=cfg))
+
+
+def _labels(y, n):
+    return np.full(n, y, dtype=np.int64) if np.ndim(y) == 0 else np.asarray(y, dtype=np.int64)
+
+
 def multistep_sample(student, sched, n, y, cfg, rng):
     """Alternate solution prediction and renoising along the schedule."""
     sd = student.sigma_d
-    y = np.full(n, y, dtype=np.int64) if np.ndim(y) == 0 else np.asarray(y, dtype=np.int64)
+    y = _labels(y, n)
     x = sd * rng.standard_normal((n, 2))
-    xhat0 = x
-    for i, t_i in enumerate(sched.times[:-1]):
-        t = np.full(n, t_i)
-        xhat0 = np.asarray(student.consistency(x, t, y, cfg=cfg))
-        t_next = sched.times[i + 1]
-        if t_next > 0.0:
-            z = sd * rng.standard_normal((n, 2))
-            x = np.cos(t_next) * xhat0 + np.sin(t_next) * z
-    return xhat0
+    for i, t in enumerate(sched.times[:-1]):
+        z = sd * rng.standard_normal((n, 2)) if i else None
+        x = _step(student, x, t, y, cfg, z)
+    return x
 
 
 def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg,
@@ -71,39 +80,34 @@ def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg,
     """Greedy sequential schedule search minimizing ``metric_fn`` on samples.
 
     Every candidate is scored with the same random numbers (``eval_seed``), so
-    score differences reflect the schedule alone. Returns the best schedule
-    and the full score table as (step_index, candidate_t, metric) rows.
+    score differences reflect the schedule alone; each score equals that of
+    ``multistep_sample`` with ``default_rng(eval_seed)``. The candidates of round
+    k share the first k steps and noise draws, so a round renoises the previous
+    winner's prediction with one fresh draw and costs one ``student.consistency``
+    pass per candidate. Returns the best schedule and the full score table as
+    (step_index, candidate_t, metric) rows.
     """
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("candidate grid must be nonempty")
+    sd = student.sigma_d
+    y = _labels(y, n_eval)
+    rng = np.random.default_rng(eval_seed)
+    table, times = [], []
 
-    def score(times):
-        sched = StepSchedule(tuple(times) + (0.0,))
-        rng = np.random.default_rng(eval_seed)
-        return float(metric_fn(multistep_sample(student, sched, n_eval, y, cfg, rng)))
+    def run_round(k, cands, x, z):
+        outs = [_step(student, x, c, y, cfg, z) for c in cands]
+        vals = [float(metric_fn(out)) for out in outs]
+        table.extend((k, c, val) for c, val in zip(cands, vals))
+        best = int(np.argmin(vals))
+        times.append(cands[best])
+        return outs[best]
 
-    def score_round(candidates):
-        # grid points are independent reads of the student; TFDL_THREADS caps
-        # how many evaluate concurrently
-        from .runio import max_threads
-        workers = min(max_threads(), len(candidates))
-        if workers <= 1:
-            return [score(c) for c in candidates]
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(score, candidates))
-
-    table = []
-    tmax_cands = [float(np.arctan(nn / student.sigma_d)) for nn in tmax_grid]
-    vals = score_round([[tm] for tm in tmax_cands])
-    table += [(0, tm, val) for tm, val in zip(tmax_cands, vals)]
-    times = [tmax_cands[int(np.argmin(vals))]]
+    tmax_cands = [float(np.arctan(nn / sd)) for nn in tmax_grid]
+    xhat0 = run_round(0, tmax_cands, sd * rng.standard_normal((n_eval, 2)), None)
     for k in range(1, steps):
         cands = [c for c in grid if 0.0 < c < times[-1]]
         if not cands:
             raise ConfigurationError("no grid candidate fits below the previous timestep")
-        vals = score_round([times + [c] for c in cands])
-        table += [(k, c, val) for c, val in zip(cands, vals)]
-        times.append(cands[int(np.argmin(vals))])
+        xhat0 = run_round(k, cands, xhat0, sd * rng.standard_normal((n_eval, 2)))
     return StepSchedule(tuple(times) + (0.0,)), table

@@ -1,5 +1,13 @@
 """Shared fixtures: analytic oracle nets and session-scoped trained models."""
 
+import os
+
+# The nets multiply matrices of a few dozen rows, where a second BLAS thread
+# adds no speed but busy-waits on a second core; with one thread per process
+# the suite keeps its wall time on a loaded host, and the end-to-end fixture
+# can run its seeds in parallel processes. Must precede the numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -6,6 +6,9 @@ consistency-only and adversarial-only arms and is marked slow; run it with
 ``pytest -m slow tests/test_acceptance.py``.
 """
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -37,19 +40,32 @@ def _eval_setup(ds, seed=99):
     return ref, y
 
 
-@pytest.fixture(scope="session")
-def e2e_runs(gauss_ds):
-    """Teacher + hybrid-distilled student for three pipeline seeds."""
-    runs = {}
-    for seed in SEEDS:
+def _e2e_run(gauss_ds, seed, net=None):
+    """Teacher (unless given) + hybrid-distilled student for one pipeline seed."""
+    if net is None:
         net = tfdl.VelocityNet(gauss_ds.n_classes, seed=seed + 1)
         net, _ = tfdl.train_teacher(net, gauss_ds, tfdl.TeacherConfig(),
                                     np.random.default_rng(seed + 1))
-        cfg = tfdl.DistillConfig()
-        state, _ = tfdl.distill(net, gauss_ds, cfg, np.random.default_rng(seed + 11),
-                                seed=seed + 21)
-        runs[seed] = (net, state)
-    return runs
+    cfg = tfdl.DistillConfig()
+    state, _ = tfdl.distill(net, gauss_ds, cfg, np.random.default_rng(seed + 11),
+                            seed=seed + 21)
+    return net, state
+
+
+@pytest.fixture(scope="session")
+def e2e_runs(gauss_ds, teacher):
+    """Teacher + hybrid-distilled student for three pipeline seeds.
+
+    Seed 0's teacher (net seed 1, rng seed 1, default config) is the session
+    ``teacher`` fixture, so it is trained once. The seeds are independent and
+    deterministic, so each runs in its own forked process.
+    """
+    given = {0: teacher[0]}
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=len(SEEDS), mp_context=ctx) as pool:
+        futures = {seed: pool.submit(_e2e_run, gauss_ds, seed, given.get(seed))
+                   for seed in SEEDS}
+        return {seed: f.result() for seed, f in futures.items()}
 
 
 def _student_w2(gauss_ds, state, steps, ref, y, sched=None):
@@ -261,7 +277,7 @@ def test_criterion_10_adaptive_weight_fixed_point(gauss_ds, teacher):
 
     products = []
     for i, tv in enumerate(t_grid):
-        w = float(np.asarray(state.wphi.forward(np.array([tv]))))
+        w = np.asarray(state.wphi.forward(np.array([tv]))).item()
         lbar = float(np.mean(losses[i * 64:(i + 1) * 64]))
         products.append(np.exp(w) * lbar)
     products = np.asarray(products)

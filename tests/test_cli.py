@@ -67,6 +67,15 @@ def test_bad_config_exits_3(tmp_path, capsys):
     assert cli(["plot", "--config", str(bad)]) == 3
 
 
+def test_unknown_config_key_exits_3(tmp_path, capsys):
+    d = json.loads(RunConfig().to_json())
+    d["eval_seeed"] = 4
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(d))
+    assert cli(["plot", "--config", str(bad)]) == 3
+    assert "eval_seeed" in capsys.readouterr().err
+
+
 def test_eval_deterministic(run_dir):
     root, cfg_path = run_dir
     out = root / "out"

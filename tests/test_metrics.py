@@ -1,9 +1,12 @@
 """Distribution metrics, config round-trips, and checkpoint persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
 import tfdl
+from tfdl.errors import ConfigurationError
 from tfdl.metrics import _sliced_w2_dirs, mmd_rbf, sliced_w2
 from tfdl.runio import RunConfig, load_net, save_net
 
@@ -68,6 +71,14 @@ def test_mmd_symmetric():
     assert mmd_rbf(a, b) == pytest.approx(mmd_rbf(b, a), rel=1e-12)
 
 
+def test_mmd_rejects_single_sample():
+    # the unbiased within-set terms divide by n (n - 1)
+    one, many = np.zeros((1, 2)), np.ones((8, 2))
+    for a, b in ((one, many), (many, one), (one, one)):
+        with pytest.raises(ValueError):
+            mmd_rbf(a, b)
+
+
 def test_runconfig_roundtrip():
     cfg = RunConfig()
     cfg.dataset.name = "two-moons"
@@ -79,6 +90,13 @@ def test_runconfig_roundtrip():
     assert back.dataset.name == "two-moons"
     assert back.distill.lambda_adv == 0.25
     assert back.distill.cfg_scales == (3.0, 4.0)
+
+
+def test_runconfig_rejects_unknown_top_level_key():
+    d = json.loads(RunConfig().to_json())
+    d["eval_seeed"] = 4
+    with pytest.raises(ConfigurationError, match="eval_seeed"):
+        RunConfig.from_json(json.dumps(d))
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import tfdl
 from conftest import AnalyticGaussianFM
 from tfdl.errors import ConfigurationError
+from tfdl.metrics import sliced_w2
 from tfdl.sampler import StepSchedule, default_schedule, multistep_sample, search_timesteps
 from tfdl.schedule import HALF_PI
 from tfdl.trigflow import TrigFlowAdapter
@@ -137,3 +139,55 @@ def test_search_empty_grid_rejected():
     adapter = TrigFlowAdapter(AnalyticGaussianFM(), sigma_d=1.0, teacher_cfg=True)
     with pytest.raises(ValueError):
         search_timesteps(adapter, _quadratic_metric(np.zeros(2)), 2, [], 32, 0, 1.0)
+
+
+ORACLE_GRID = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4]
+
+
+def _analytic_case():
+    adapter = TrigFlowAdapter(AnalyticGaussianFM(), sigma_d=1.0, teacher_cfg=True)
+    ref = np.random.default_rng(1).standard_normal((64, 2)) * 0.7 + 0.3
+    return adapter, 0, lambda samples: sliced_w2(samples, ref, seed=3)
+
+
+def _velocity_net_case():
+    net = tfdl.VelocityNet(2, width=16, depth=1, n_freq=8, seed=4)
+    labels = np.random.default_rng(2).integers(0, 2, 64)
+    return TrigFlowAdapter(net, 0.8), labels, _quadratic_metric(np.array([0.1, -0.2]))
+
+
+@pytest.mark.parametrize("make_case", [_analytic_case, _velocity_net_case])
+def test_search_table_equals_naive_rescoring(make_case):
+    # every row must be exactly the score of sampling its full schedule afresh
+    adapter, y, metric = make_case()
+    for steps in (1, 2, 3, 4):
+        sched, table = search_timesteps(adapter, metric, steps, ORACLE_GRID, 64, y, 2.0,
+                                        eval_seed=7)
+        assert sched.steps == steps
+        assert sorted({row[0] for row in table}) == list(range(steps))
+        for k, c, score in table:
+            cand = StepSchedule(sched.times[:k] + (c, 0.0))
+            rng = np.random.default_rng(7)
+            assert score == metric(multistep_sample(adapter, cand, 64, y, 2.0, rng))
+
+
+def test_search_one_consistency_call_per_candidate():
+    calls = []
+
+    class CountingAdapter:
+        sigma_d = 1.0
+
+        def consistency(self, x, t, y, cfg=None, params=None):
+            calls.append(float(t[0]))
+            return np.asarray(x) * 0.5
+
+    def spread(samples):
+        # favours the largest renoise time, so the walk descends one grid point per round
+        return -float(np.mean(samples ** 2))
+
+    for steps in (1, 2, 4):
+        calls.clear()
+        sched, table = search_timesteps(CountingAdapter(), spread, steps, ORACLE_GRID, 8,
+                                        0, 1.0, eval_seed=3)
+        assert sched.steps == steps
+        assert calls == [c for _, c, _ in table]
