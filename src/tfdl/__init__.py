@@ -11,14 +11,13 @@ from .distill import (AdaptiveWeight, DiscriminatorHeads, DistillConfig,
                       gen_adv_loss, init_distill, one_step_generate,
                       scm_loss, scm_tangent)
 from .metrics import MetricReport, evaluate, mmd_rbf, sliced_w2
-from .net import DualBatch, VelocityNet
+from .net import VelocityNet
 from .sampler import StepSchedule, default_schedule, multistep_sample, search_timesteps
 from .schedule import (Schedule, TimestepDistribution, flow_matching,
                        perturb, sample_t, snr, trigflow)
 from .teacher import TeacherConfig, cfg_velocity, euler_sample_fm, fm_loss, train_teacher
 from .toydata import Dataset, Sample, generate, minibatch, minibatch_arrays
-from .trigflow import (TrigFlowAdapter, consistency_f, euler_sample_trig,
-                       scale_factor, t_fm_of, trig_velocity)
+from .trigflow import TrigFlowAdapter, euler_sample_trig, scale_factor, t_fm_of
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,15 +1,28 @@
 """Array-valued automatic differentiation on float64 numpy arrays.
 
-Two evaluation modes share one set of primitives:
+Every differentiable operation is one entry of a single rule table
+(``PRIMITIVES``). An entry gives its primal function once, one linear tangent
+rule per argument, and the transpose of a rule only where the rule is not its
+own transpose: elementwise rules scale by a diagonal Jacobian and softmax's
+Jacobian is symmetric, so those serve both directions. A linear entry omits
+its tangent rule, which is then the primal applied to the tangent. An entry
+may also give a forward that returns a residual for the rules (SiLU keeps its
+sigmoid); without one the residual is the output.
 
-* ``Dual`` — forward mode. Carries (primal, tangent) pairs and propagates
-  exact directional derivatives through every operation.
-* ``Var``  — reverse mode. Records a tape of parent links and vector-Jacobian
-  products; ``backward()`` accumulates gradients by reverse topological order.
+Calling an entry interprets it in one of three modes, chosen by its arguments:
 
-Plain ndarrays mix freely with either type and are treated as constants,
-which is how stop-gradient and frozen-module semantics are expressed: a
-branch evaluated on raw arrays simply never enters the tape.
+* plain ndarrays go straight to the primal function;
+* ``Dual`` — forward mode. Carries (primal, tangent) pairs; the output tangent
+  is the sum of the tangent rules of the arguments that carry one.
+* ``Var``  — reverse mode. Records a tape node whose vector-Jacobian product
+  applies each live argument's transpose and sums it back to that argument's
+  shape; ``backward()`` accumulates gradients by reverse topological order.
+
+Rules are called as ``rule(t, *primal_args, residual, *params)``: ``(t, x, r)``
+for a unary entry, ``(t, a, b, r)`` for a binary one, ``(ts, xs, r)`` for
+``cat``. Plain ndarrays mix freely with either type and are treated as
+constants, which is how stop-gradient and frozen-module semantics are
+expressed: a branch evaluated on raw arrays simply never enters the tape.
 """
 
 from __future__ import annotations
@@ -17,10 +30,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Dual", "Var", "sin", "cos", "exp", "log", "sqrt", "tanh", "relu",
-    "silu", "softmax", "vsum", "vmean", "reshape", "swap_last", "take_rows",
-    "cat", "primal",
+    "Dual", "Var", "PRIMITIVES", "primal", "sin", "cos", "exp", "log", "sqrt",
+    "tanh", "relu", "silu", "softmax", "neg", "power", "vsum", "vmean",
+    "reshape", "swap_last", "take_rows", "add", "sub", "mul", "div", "matmul",
+    "cat",
 ]
+
+PRIMITIVES = {}
 
 
 def _unbroadcast(g, shape):
@@ -36,26 +52,53 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _swap(x):
-    return np.swapaxes(x, -1, -2)
+class _Traced:
+    """Arithmetic operators of ``Dual`` and ``Var``, mapped onto table entries."""
+
+    __slots__ = ()
+    __array_ufunc__ = None  # keep numpy from absorbing us in mixed expressions
+
+    def __add__(self, o):
+        return add(self, o)
+
+    def __radd__(self, o):
+        return add(o, self)
+
+    def __sub__(self, o):
+        return sub(self, o)
+
+    def __rsub__(self, o):
+        return sub(o, self)
+
+    def __mul__(self, o):
+        return mul(self, o)
+
+    def __rmul__(self, o):
+        return mul(o, self)
+
+    def __truediv__(self, o):
+        return div(self, o)
+
+    def __rtruediv__(self, o):
+        return div(o, self)
+
+    def __matmul__(self, o):
+        return matmul(self, o)
+
+    def __rmatmul__(self, o):
+        return matmul(o, self)
+
+    def __pow__(self, k):
+        return power(self, k)
+
+    def __neg__(self):
+        return neg(self)
 
 
-def _sigmoid(x):
-    # tanh form avoids overflow warnings at large |x|
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _softmax(z, axis):
-    m = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(m)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-class Dual:
+class Dual(_Traced):
     """Forward-mode dual array: primal ``p`` and tangent ``t`` of equal shape."""
 
     __slots__ = ("p", "t")
-    __array_ufunc__ = None  # keep numpy from absorbing us in mixed expressions
 
     def __init__(self, primal, tangent=None):
         self.p = np.asarray(primal, dtype=np.float64)
@@ -65,112 +108,11 @@ class Dual:
             t = np.asarray(tangent, dtype=np.float64)
             self.t = np.broadcast_to(t, self.p.shape) if t.shape != self.p.shape else t
 
-    # -- arithmetic --------------------------------------------------------
-    def __add__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.p + o.p, self.t + o.t)
-        return Dual(self.p + o, self.t)
 
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.p - o.p, self.t - o.t)
-        return Dual(self.p - o, self.t)
-
-    def __rsub__(self, o):
-        return Dual(o - self.p, -self.t)
-
-    def __neg__(self):
-        return Dual(-self.p, -self.t)
-
-    def __mul__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.p * o.p, self.t * o.p + self.p * o.t)
-        return Dual(self.p * o, self.t * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Dual):
-            inv = 1.0 / o.p
-            return Dual(self.p * inv, (self.t - self.p * inv * o.t) * inv)
-        return Dual(self.p / o, self.t / o)
-
-    def __rtruediv__(self, o):
-        inv = 1.0 / self.p
-        return Dual(o * inv, -o * inv * inv * self.t)
-
-    def __pow__(self, k):
-        return Dual(self.p ** k, k * self.p ** (k - 1.0) * self.t)
-
-    def __matmul__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.p @ o.p, self.t @ o.p + self.p @ o.t)
-        return Dual(self.p @ o, self.t @ o)
-
-    def __rmatmul__(self, o):
-        return Dual(o @ self.p, o @ self.t)
-
-    # -- elementwise -------------------------------------------------------
-    def sin(self):
-        return Dual(np.sin(self.p), np.cos(self.p) * self.t)
-
-    def cos(self):
-        return Dual(np.cos(self.p), -np.sin(self.p) * self.t)
-
-    def exp(self):
-        e = np.exp(self.p)
-        return Dual(e, e * self.t)
-
-    def log(self):
-        return Dual(np.log(self.p), self.t / self.p)
-
-    def sqrt(self):
-        r = np.sqrt(self.p)
-        return Dual(r, 0.5 * self.t / r)
-
-    def tanh(self):
-        y = np.tanh(self.p)
-        return Dual(y, (1.0 - y * y) * self.t)
-
-    def relu(self):
-        m = self.p > 0
-        return Dual(np.where(m, self.p, 0.0), np.where(m, self.t, 0.0))
-
-    def silu(self):
-        s = _sigmoid(self.p)
-        return Dual(self.p * s, s * (1.0 + self.p * (1.0 - s)) * self.t)
-
-    def softmax(self, axis=-1):
-        s = _softmax(self.p, axis)
-        st = s * self.t
-        return Dual(s, st - s * st.sum(axis=axis, keepdims=True))
-
-    # -- shape -------------------------------------------------------------
-    def reshape(self, shape):
-        return Dual(self.p.reshape(shape), np.ascontiguousarray(self.t).reshape(shape))
-
-    def swap_last(self):
-        return Dual(_swap(self.p), _swap(self.t))
-
-    def take_rows(self, idx):
-        return Dual(self.p[idx], self.t[idx])
-
-    def sum(self, axis=None, keepdims=False):
-        return Dual(self.p.sum(axis=axis, keepdims=keepdims),
-                    np.ascontiguousarray(self.t).sum(axis=axis, keepdims=keepdims))
-
-    def mean(self, axis=None, keepdims=False):
-        return Dual(self.p.mean(axis=axis, keepdims=keepdims),
-                    np.ascontiguousarray(self.t).mean(axis=axis, keepdims=keepdims))
-
-
-class Var:
+class Var(_Traced):
     """Reverse-mode tape node holding value ``v`` and accumulated ``grad``."""
 
     __slots__ = ("v", "grad", "_parents", "_vjp")
-    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), vjp=None):
         self.v = np.asarray(value, dtype=np.float64)
@@ -178,159 +120,6 @@ class Var:
         self._parents = parents
         self._vjp = vjp
 
-    # -- arithmetic --------------------------------------------------------
-    def __add__(self, o):
-        if isinstance(o, Var):
-            sa, sb = self.v.shape, o.v.shape
-            return Var(self.v + o.v, (self, o),
-                       lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-        out = self.v + o
-        sa = self.v.shape
-        return Var(out, (self,), lambda g: (_unbroadcast(g, sa),))
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Var):
-            sa, sb = self.v.shape, o.v.shape
-            return Var(self.v - o.v, (self, o),
-                       lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-        sa = self.v.shape
-        return Var(self.v - o, (self,), lambda g: (_unbroadcast(g, sa),))
-
-    def __rsub__(self, o):
-        sa = self.v.shape
-        return Var(o - self.v, (self,), lambda g: (_unbroadcast(-g, sa),))
-
-    def __neg__(self):
-        return Var(-self.v, (self,), lambda g: (-g,))
-
-    def __mul__(self, o):
-        if isinstance(o, Var):
-            a, b = self.v, o.v
-            return Var(a * b, (self, o),
-                       lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)))
-        a = self.v
-        return Var(a * o, (self,), lambda g: (_unbroadcast(g * o, a.shape),))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Var):
-            a, b = self.v, o.v
-            return Var(a / b, (self, o),
-                       lambda g: (_unbroadcast(g / b, a.shape),
-                                  _unbroadcast(-g * a / (b * b), b.shape)))
-        a = self.v
-        return Var(a / o, (self,), lambda g: (_unbroadcast(g / o, a.shape),))
-
-    def __rtruediv__(self, o):
-        a = self.v
-        return Var(o / a, (self,), lambda g: (_unbroadcast(-g * o / (a * a), a.shape),))
-
-    def __pow__(self, k):
-        a = self.v
-        return Var(a ** k, (self,), lambda g: (g * k * a ** (k - 1.0),))
-
-    def __matmul__(self, o):
-        if isinstance(o, Var):
-            a, b = self.v, o.v
-            return Var(a @ b, (self, o),
-                       lambda g: (_unbroadcast(g @ _swap(b), a.shape),
-                                  _unbroadcast(_swap(a) @ g, b.shape)))
-        a = self.v
-        return Var(a @ o, (self,), lambda g: (_unbroadcast(g @ _swap(o), a.shape),))
-
-    def __rmatmul__(self, o):
-        a = self.v
-        return Var(o @ a, (self,), lambda g: (_unbroadcast(_swap(o) @ g, a.shape),))
-
-    # -- elementwise -------------------------------------------------------
-    def sin(self):
-        a = self.v
-        return Var(np.sin(a), (self,), lambda g: (g * np.cos(a),))
-
-    def cos(self):
-        a = self.v
-        return Var(np.cos(a), (self,), lambda g: (-g * np.sin(a),))
-
-    def exp(self):
-        e = np.exp(self.v)
-        return Var(e, (self,), lambda g: (g * e,))
-
-    def log(self):
-        a = self.v
-        return Var(np.log(a), (self,), lambda g: (g / a,))
-
-    def sqrt(self):
-        r = np.sqrt(self.v)
-        return Var(r, (self,), lambda g: (0.5 * g / r,))
-
-    def tanh(self):
-        y = np.tanh(self.v)
-        return Var(y, (self,), lambda g: (g * (1.0 - y * y),))
-
-    def relu(self):
-        m = self.v > 0
-        return Var(np.where(m, self.v, 0.0), (self,), lambda g: (np.where(m, g, 0.0),))
-
-    def silu(self):
-        a = self.v
-        s = _sigmoid(a)
-        return Var(a * s, (self,), lambda g: (g * s * (1.0 + a * (1.0 - s)),))
-
-    def softmax(self, axis=-1):
-        s = _softmax(self.v, axis)
-
-        def vjp(g):
-            sg = s * g
-            return (sg - s * sg.sum(axis=axis, keepdims=True),)
-
-        return Var(s, (self,), vjp)
-
-    # -- shape -------------------------------------------------------------
-    def reshape(self, shape):
-        orig = self.v.shape
-        return Var(self.v.reshape(shape), (self,),
-                   lambda g: (g.reshape(orig),))
-
-    def swap_last(self):
-        return Var(_swap(self.v), (self,), lambda g: (_swap(g),))
-
-    def take_rows(self, idx):
-        shape = self.v.shape
-
-        def vjp(g):
-            out = np.zeros(shape)
-            np.add.at(out, idx, g)
-            return (out,)
-
-        return Var(self.v[idx], (self,), vjp)
-
-    def sum(self, axis=None, keepdims=False):
-        shape = self.v.shape
-        out = self.v.sum(axis=axis, keepdims=keepdims)
-
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape),)
-
-        return Var(out, (self,), vjp)
-
-    def mean(self, axis=None, keepdims=False):
-        shape = self.v.shape
-        n = self.v.size if axis is None else np.prod([shape[a] for a in np.atleast_1d(axis)])
-        out = self.v.mean(axis=axis, keepdims=keepdims)
-
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g / n, shape),)
-
-        return Var(out, (self,), vjp)
-
-    # -- reverse pass ------------------------------------------------------
     def backward(self, seed=None):
         """Accumulate gradients of this (scalar) node into the tape."""
         if seed is None:
@@ -360,8 +149,6 @@ class Var:
                 p.grad = g if p.grad is None else p.grad + g
 
 
-# -- generic dispatch (ndarray constants pass through untouched) ------------
-
 def primal(x):
     """Underlying primal value of any of the three array kinds."""
     if isinstance(x, Dual):
@@ -371,97 +158,181 @@ def primal(x):
     return np.asarray(x)
 
 
-def _dispatch(x, name, *args, **kw):
-    if isinstance(x, (Dual, Var)):
-        return getattr(x, name)(*args, **kw)
-    return getattr(np, name)(x, *args, **kw)
+# -- the three interpreters --------------------------------------------------
+
+class Prim:
+    """One table entry; see the module docstring for the rule conventions."""
+
+    def __init__(self, name, primal, jvp=None, vjp=None):
+        self.name, self.primal = name, primal
+        self.jvp = jvp or (lambda t, x, r, *params, **kw: primal(t, *params, **kw))
+        self.vjp = vjp or self.jvp
+        PRIMITIVES[name] = self
 
 
-def sin(x):
-    return _dispatch(x, "sin")
+class Unary(Prim):
+    """Entry with one differentiable argument plus static parameters.
+
+    ``fwd``, when given, returns (output, residual) for the tangent-carrying
+    modes; plain arrays keep the primal, whose temporaries numpy can reuse.
+    """
+
+    def __init__(self, name, primal, jvp=None, vjp=None, fwd=None):
+        super().__init__(name, primal, jvp, vjp)
+        self.fwd = fwd
+
+    def __call__(self, x, *params, **kw):
+        if isinstance(x, Dual):
+            xp = x.p
+        elif isinstance(x, Var):
+            xp = x.v
+        else:
+            return self.primal(x, *params, **kw)
+        if self.fwd is None:
+            y = r = self.primal(xp, *params, **kw)
+        else:
+            y, r = self.fwd(xp, *params, **kw)
+        if isinstance(x, Dual):
+            return Dual(y, self.jvp(x.t, xp, r, *params, **kw))
+        vjp = self.vjp
+        return Var(y, (x,), lambda g: (vjp(g, xp, r, *params, **kw),))
 
 
-def cos(x):
-    return _dispatch(x, "cos")
+class Binary(Prim):
+    """Entry with two differentiable, broadcasting arguments."""
+
+    def __call__(self, a, b):
+        da, db = isinstance(a, Dual), isinstance(b, Dual)
+        if da or db:
+            ap, bp = (a.p if da else a), (b.p if db else b)
+            y = self.primal(ap, bp)
+            ja, jb = self.jvp
+            if da and db:
+                return Dual(y, ja(a.t, ap, bp, y) + jb(b.t, ap, bp, y))
+            return Dual(y, ja(a.t, ap, bp, y) if da else jb(b.t, ap, bp, y))
+        va, vb = isinstance(a, Var), isinstance(b, Var)
+        if not (va or vb):
+            return self.primal(a, b)
+        ap, bp = (a.v if va else a), (b.v if vb else b)
+        y = self.primal(ap, bp)
+        ga, gb = self.vjp
+        if va and vb:
+            return Var(y, (a, b), lambda g: (_unbroadcast(ga(g, ap, bp, y), ap.shape),
+                                             _unbroadcast(gb(g, ap, bp, y), bp.shape)))
+        if va:
+            return Var(y, (a,), lambda g: (_unbroadcast(ga(g, ap, bp, y), ap.shape),))
+        return Var(y, (b,), lambda g: (_unbroadcast(gb(g, ap, bp, y), bp.shape),))
 
 
-def exp(x):
-    return _dispatch(x, "exp")
+class Nary(Prim):
+    """Entry over a list of differentiable arguments."""
+
+    def __call__(self, xs, *params, **kw):
+        if any(isinstance(x, Dual) for x in xs):
+            ps = [x.p if isinstance(x, Dual) else np.asarray(x, dtype=np.float64) for x in xs]
+            ts = [x.t if isinstance(x, Dual) else np.zeros_like(p) for x, p in zip(xs, ps)]
+            y = self.primal(ps, *params, **kw)
+            return Dual(y, self.jvp(ts, ps, y, *params, **kw))
+        live = [i for i, x in enumerate(xs) if isinstance(x, Var)]
+        if not live:
+            return self.primal(xs, *params, **kw)
+        vals = [x.v if isinstance(x, Var) else np.asarray(x, dtype=np.float64) for x in xs]
+        y = self.primal(vals, *params, **kw)
+        vjp = self.vjp
+
+        def back(g):
+            gs = vjp(g, vals, y, *params, **kw)
+            return tuple(gs[i] for i in live)
+
+        return Var(y, tuple(xs[i] for i in live), back)
 
 
-def log(x):
-    return _dispatch(x, "log")
+# -- the rule table ----------------------------------------------------------
+
+def _swap(x):
+    return np.asarray(x).swapaxes(-1, -2)
 
 
-def sqrt(x):
-    return _dispatch(x, "sqrt")
+def _sigmoid(x):
+    # tanh form avoids overflow warnings at large |x|
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def tanh(x):
-    return _dispatch(x, "tanh")
+def _silu_fwd(x):
+    s = _sigmoid(x)
+    return x * s, s
 
 
-def relu(x):
-    if isinstance(x, (Dual, Var)):
-        return x.relu()
-    return np.maximum(x, 0.0)
+def _softmax(z, axis=-1):
+    m = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(m)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def silu(x):
-    if isinstance(x, (Dual, Var)):
-        return x.silu()
-    return x * _sigmoid(x)
+def _softmax_rule(t, x, s, axis=-1):
+    st = s * t
+    return st - s * st.sum(axis=axis, keepdims=True)
 
 
-def softmax(x, axis=-1):
-    if isinstance(x, (Dual, Var)):
-        return x.softmax(axis=axis)
-    return _softmax(x, axis)
+# ndarray methods: the numpy functions add a dispatch layer that costs more
+# than the arithmetic on the small arrays of a tape
+def _sum(x, axis=None, keepdims=False):
+    return np.asarray(x).sum(axis=axis, keepdims=keepdims)
 
 
-def vsum(x, axis=None, keepdims=False):
-    if isinstance(x, (Dual, Var)):
-        return x.sum(axis=axis, keepdims=keepdims)
-    return np.sum(x, axis=axis, keepdims=keepdims)
+def _mean(x, axis=None, keepdims=False):
+    return np.asarray(x).mean(axis=axis, keepdims=keepdims)
 
 
-def vmean(x, axis=None, keepdims=False):
-    if isinstance(x, (Dual, Var)):
-        return x.mean(axis=axis, keepdims=keepdims)
-    return np.mean(x, axis=axis, keepdims=keepdims)
+def _spread(g, x, axis, keepdims, scale=None):
+    """Transpose of a reduction: broadcast ``g`` back over the reduced axes."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g if scale is None else g / scale, x.shape)
 
 
-def reshape(x, shape):
-    if isinstance(x, (Dual, Var)):
-        return x.reshape(shape)
-    return np.reshape(x, shape)
+def _sum_vjp(g, x, r, axis=None, keepdims=False):
+    return _spread(g, x, axis, keepdims)
 
 
-def swap_last(x):
-    if isinstance(x, (Dual, Var)):
-        return x.swap_last()
-    return _swap(x)
+def _mean_vjp(g, x, r, axis=None, keepdims=False):
+    n = x.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
+    return _spread(g, x, axis, keepdims, n)
 
 
-def take_rows(table, idx):
-    if isinstance(table, (Dual, Var)):
-        return table.take_rows(idx)
-    return table[idx]
+def _take_rows_vjp(g, x, r, idx):
+    out = np.zeros(x.shape)
+    np.add.at(out, idx, g)
+    return out
 
 
-def cat(xs, axis=-1):
-    if any(isinstance(x, Var) for x in xs):
-        vs = [x if isinstance(x, Var) else Var(np.asarray(x)) for x in xs]
-        vals = [v.v for v in vs]
-        sizes = [v.shape[axis] for v in vals]
-        splits = np.cumsum(sizes)[:-1]
+def _cat_vjp(g, xs, r, axis=-1):
+    return np.split(g, np.cumsum([x.shape[axis] for x in xs])[:-1], axis=axis)
 
-        def vjp(g):
-            return tuple(np.split(g, splits, axis=axis))
 
-        return Var(np.concatenate(vals, axis=axis), tuple(vs), vjp)
-    if any(isinstance(x, Dual) for x in xs):
-        ds = [x if isinstance(x, Dual) else Dual(np.asarray(x)) for x in xs]
-        return Dual(np.concatenate([d.p for d in ds], axis=axis),
-                    np.concatenate([np.broadcast_to(d.t, d.p.shape) for d in ds], axis=axis))
-    return np.concatenate(xs, axis=axis)
+sin = Unary("sin", np.sin, lambda t, x, r: t * np.cos(x))
+cos = Unary("cos", np.cos, lambda t, x, r: -t * np.sin(x))
+exp = Unary("exp", np.exp, lambda t, x, e: t * e)
+log = Unary("log", np.log, lambda t, x, r: t / x)
+sqrt = Unary("sqrt", np.sqrt, lambda t, x, y: 0.5 * t / y)
+tanh = Unary("tanh", np.tanh, lambda t, x, y: t * (1.0 - y * y))
+relu = Unary("relu", lambda x: np.maximum(x, 0.0), lambda t, x, r: np.where(x > 0, t, 0.0))
+silu = Unary("silu", lambda x: x * _sigmoid(x), lambda t, x, s: t * (s * (1.0 + x * (1.0 - s))),
+             fwd=_silu_fwd)
+softmax = Unary("softmax", _softmax, _softmax_rule)
+power = Unary("power", lambda x, k: x ** k, lambda t, x, r, k: t * (k * x ** (k - 1.0)))
+neg = Unary("neg", np.negative)
+vsum = Unary("vsum", _sum, vjp=_sum_vjp)
+vmean = Unary("vmean", _mean, vjp=_mean_vjp)
+reshape = Unary("reshape", lambda x, shape: np.asarray(x).reshape(shape),
+                vjp=lambda g, x, r, shape: g.reshape(x.shape))
+swap_last = Unary("swap_last", _swap)
+take_rows = Unary("take_rows", lambda x, idx: x[idx], vjp=_take_rows_vjp)
+add = Binary("add", np.add, (lambda t, a, b, r: t, lambda t, a, b, r: t))
+sub = Binary("sub", np.subtract, (lambda t, a, b, r: t, lambda t, a, b, r: -t))
+mul = Binary("mul", np.multiply, (lambda t, a, b, r: t * b, lambda t, a, b, r: a * t))
+div = Binary("div", np.true_divide, (lambda t, a, b, r: t / b,
+                                     lambda t, a, b, r: -t * a / (b * b)))
+matmul = Binary("matmul", np.matmul, (lambda t, a, b, r: t @ b, lambda t, a, b, r: a @ t),
+                vjp=(lambda g, a, b, r: g @ _swap(b), lambda g, a, b, r: _swap(a) @ g))
+cat = Nary("cat", lambda xs, axis=-1: np.concatenate(xs, axis=axis), vjp=_cat_vjp)

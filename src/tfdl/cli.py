@@ -2,7 +2,7 @@
 
 Every subcommand reads a JSON run configuration and writes its artifacts into
 the output directory. Exit codes: 0 success, 2 usage error, 3 unreadable
-config or missing checkpoint, 1 anything else.
+config or a missing or malformed checkpoint, 1 anything else.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def _adapter_from_ckpt(path):
     net, meta = runio.load_net(path)
     sigma_d = meta.get("sigma_d")
     if sigma_d is None:
-        raise ValueError(f"checkpoint {path} lacks sigma_d metadata")
+        raise ConfigurationError(f"malformed checkpoint {path}: no sigma_d metadata")
     teacher_cfg = meta.get("role") == "teacher"
     return TrigFlowAdapter(net, sigma_d, teacher_cfg=teacher_cfg), net, meta
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Dual, exp as vexp, relu, reshape, silu, vmean, vsum
+from .autodiff import Dual, exp as vexp, primal, relu, reshape, silu, vmean, vsum
 from .errors import DomainError, NumericsError, TrainingDivergence
 from .optim import Adam, ParamVector
 from .schedule import HALF_PI, TimestepDistribution, sample_t
@@ -27,10 +27,6 @@ from .toydata import batch_arrays, minibatch_arrays
 from .trigflow import TrigFlowAdapter
 
 DATA_DIM = 2
-
-
-def primal_scalar(x):
-    return x.v if hasattr(x, "v") else np.asarray(x)
 
 
 @dataclass
@@ -296,12 +292,12 @@ def _generator_objective(state, config, r, x0, y, z, t, t_gan, s, cfg,
             g, f_sg = _tangent_and_value(state, x_t, t, y, cfg, r, config.tangent_c)
         total = _scm_objective(state, x_t, t, y, cfg, g, f_sg,
                                student_leaves, wphi_leaves)
-        scm_val = float(primal_scalar(total))
+        scm_val = float(primal(total))
     if config.lambda_adv > 0:
         xhat0 = _fake_clean(state, x0, y, z, t_gan, cfg, student_leaves=student_leaves)
         fake_feats = state.teacher.features(_renoise(xhat0, s, z), s, y)
         adv = hinge_gen(state.heads.scores(fake_feats))
-        adv_val = float(primal_scalar(adv))
+        adv_val = float(primal(adv))
         total = total + config.lambda_adv * adv
     return total, scm_val, adv_val
 

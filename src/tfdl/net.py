@@ -13,8 +13,6 @@ for reverse-mode gradients (grad).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -23,20 +21,6 @@ from .errors import NumericsError
 from .optim import ParamVector
 
 _RMS_EPS = 1e-30  # keeps 0/0 finite without breaking positive-scale invariance
-
-
-@dataclass
-class DualBatch:
-    """Carrier for forward-mode inputs: primal points/times and their tangents."""
-
-    primal: np.ndarray
-    tangent: np.ndarray
-    t_primal: np.ndarray
-    t_tangent: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.primal) != np.shape(self.tangent):
-            raise ValueError("primal and tangent shapes differ")
 
 
 def _as_batch(x):
@@ -166,9 +150,7 @@ class VelocityNet:
     def jvp(self, x, t, y, cfg, x_tan, t_tan):
         """Value and exact directional derivative along (x_tan, t_tan)."""
         x, t, y, cfg = self._prep(x, t, y, cfg)
-        db = DualBatch(x, np.broadcast_to(np.asarray(x_tan, dtype=np.float64), x.shape),
-                       t, np.broadcast_to(np.asarray(t_tan, dtype=np.float64), t.shape))
-        out = self._core(self.params, Dual(db.primal, db.tangent), Dual(db.t_primal, db.t_tangent), y, cfg)
+        out = self._core(self.params, Dual(x, x_tan), Dual(t, t_tan), y, cfg)
         if not np.all(np.isfinite(out.t)):
             raise NumericsError("non-finite JVP tangent")
         return out.p, out.t

@@ -2,7 +2,9 @@
 
 Checkpoints are a single JSON header line (schema version, segment names and
 shapes, time-embedding scale, QK-norm flag, plus rebuild metadata) followed by
-the raw little-endian float64 parameter values in segment order.
+the raw little-endian float64 parameter values in segment order. Loading
+rejects a checkpoint whose header, size, layout or values do not check out
+with ``ConfigurationError`` naming the file.
 """
 
 from __future__ import annotations
@@ -103,25 +105,50 @@ def build_dataset(cfg):
 # -- checkpoints -------------------------------------------------------------
 
 def save_params(path, params, meta=None, c_noise_scale=None, qk_norm=None):
-    """Write the checkpoint header line and the float64 segment bytes."""
+    """Write the checkpoint header line and the float64 segment bytes.
+
+    The bytes go to a temporary file first and replace ``path`` in one step,
+    so an interrupted write never leaves a truncated checkpoint behind.
+    """
     header = {"schema": CKPT_SCHEMA,
               "segments": list(params.names),
               "shapes": {n: list(params.shapes[n]) for n in params.names},
               "c_noise_scale": c_noise_scale,
               "qk_norm": qk_norm,
               "meta": meta or {}}
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(params.flat.astype("<f8").tobytes())
+    os.replace(tmp, path)
+
+
+def _malformed(path, problem):
+    return ConfigurationError(f"malformed checkpoint {path}: {problem}")
 
 
 def load_checkpoint(path):
-    """Return (header dict, flat float64 values)."""
+    """Return (header dict, flat float64 values) after checking the header's
+    schema, that the payload holds exactly the values its segment shapes
+    describe, and that every value is finite."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+        line, payload = fh.readline(), fh.read()
+    try:
+        header = json.loads(line.decode())
+        schema = header.get("schema")
+        sizes = [int(np.prod(header["shapes"][n])) for n in header["segments"]]
+    except (ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise _malformed(path, f"unreadable header ({exc!r})") from None
+    if schema != CKPT_SCHEMA:
+        raise _malformed(path, f"schema {schema!r}, expected {CKPT_SCHEMA}")
+    if len(payload) != 8 * sum(sizes):
+        raise _malformed(path, f"{len(payload)} payload bytes where the header "
+                               f"describes {8 * sum(sizes)}")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(flat)):
+        raise _malformed(path, "non-finite parameter values")
     return header, flat
 
 
@@ -135,10 +162,15 @@ def save_net(path, net, extra_meta=None):
 def load_net(path):
     """Rebuild a VelocityNet (and its sidecar metadata) from a checkpoint."""
     header, flat = load_checkpoint(path)
-    net = VelocityNet.from_meta(header["meta"])
-    if flat.size != net.params.size:
-        raise ValueError(f"checkpoint size mismatch for {path}")
-    net.params.flat[:] = flat
+    try:
+        net = VelocityNet.from_meta(header["meta"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(path, f"cannot rebuild the net from its metadata ({exc!r})") from None
+    p = net.params
+    if ([(n, tuple(header["shapes"][n])) for n in header["segments"]]
+            != [(n, p.shapes[n]) for n in p.names]):
+        raise _malformed(path, "segment names or shapes differ from the rebuilt net")
+    p.flat[:] = flat
     return net, header["meta"]
 
 

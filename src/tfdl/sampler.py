@@ -84,13 +84,26 @@ def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg,
     ``multistep_sample`` with ``default_rng(eval_seed)``. The candidates of round
     k share the first k steps and noise draws, so a round renoises the previous
     winner's prediction with one fresh draw and costs one ``student.consistency``
-    pass per candidate. Returns the best schedule and the full score table as
-    (step_index, candidate_t, metric) rows.
+    pass per candidate. Round k offers only candidates that leave at least
+    ``steps - 1 - k`` positive grid points below them, so the walk always
+    reaches ``steps`` steps; a grid too short for that raises
+    ``ConfigurationError`` before any pass. Returns the best schedule and the
+    score table as (step_index, candidate_t, metric) rows.
     """
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("candidate grid must be nonempty")
     sd = student.sigma_d
+
+    def feasible(cands, k):
+        # keep a candidate only if the steps - 1 - k later rounds can each
+        # still take a lower positive grid point
+        return [c for c in cands if sum(0.0 < g < c for g in grid) >= steps - 1 - k]
+
+    tmax_cands = feasible([float(np.arctan(nn / sd)) for nn in tmax_grid], 0)
+    if not tmax_cands:
+        raise ConfigurationError(f"a {steps}-step search needs {steps - 1} positive grid "
+                                 "points below the largest maximum time")
     y = _labels(y, n_eval)
     rng = np.random.default_rng(eval_seed)
     table, times = [], []
@@ -103,11 +116,8 @@ def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg,
         times.append(cands[best])
         return outs[best]
 
-    tmax_cands = [float(np.arctan(nn / sd)) for nn in tmax_grid]
     xhat0 = run_round(0, tmax_cands, sd * rng.standard_normal((n_eval, 2)), None)
     for k in range(1, steps):
-        cands = [c for c in grid if 0.0 < c < times[-1]]
-        if not cands:
-            raise ConfigurationError("no grid candidate fits below the previous timestep")
+        cands = feasible([c for c in grid if 0.0 < c < times[-1]], k)
         xhat0 = run_round(k, cands, xhat0, sd * rng.standard_normal((n_eval, 2)))
     return StepSchedule(tuple(times) + (0.0,)), table

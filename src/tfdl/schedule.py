@@ -1,14 +1,12 @@
 """Noise-schedule families and training-time distributions.
 
-Three interpolation schemes between clean data and Gaussian noise:
+Two interpolation schemes between clean data and Gaussian noise:
 
-* diffusion      — user-supplied (alpha, sigma) on [0, t_max]
 * flow-matching  — alpha = 1 - t, sigma = t on [0, 1]
 * trigflow       — alpha = cos t, sigma = sin t on [0, pi/2], noise scaled
                    by the data standard deviation sigma_d
 
-Only flow-matching and trigflow are wired into training; the generic
-diffusion constructor exists for completeness. All times are float64.
+All times are float64.
 """
 
 from __future__ import annotations
@@ -40,10 +38,6 @@ def trigflow(sigma_d):
     if sigma_d <= 0:
         raise ValueError("sigma_d must be positive")
     return Schedule("trigflow", np.cos, np.sin, HALF_PI, float(sigma_d))
-
-
-def diffusion(alpha, sigma, t_max):
-    return Schedule("diffusion", alpha, sigma, float(t_max))
 
 
 def _check_domain(sched, t):

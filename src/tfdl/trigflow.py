@@ -58,34 +58,23 @@ class TrigFlowAdapter:
         self.sigma_d = float(sigma_d)
         self.teacher_cfg = teacher_cfg
 
-    def velocity(self, x, t, y, cfg=None, params=None, return_hidden=False):
-        """Trig-schedule velocity estimate from raw-scale input x."""
+    def _to_fm(self, x, t):
+        """Flow-matching time, scale factor and input for trig-schedule (x, t)."""
         tf = t_fm_of(t)
         lam = scale_factor(tf)
-        x_fm = (x * (1.0 / self.sigma_d)) * reshape(lam, (-1, 1))
+        return tf, lam, (x * (1.0 / self.sigma_d)) * reshape(lam, (-1, 1))
+
+    def velocity(self, x, t, y, cfg=None, params=None):
+        """Trig-schedule velocity estimate from raw-scale input x."""
+        tf, lam, x_fm = self._to_fm(x, t)
         if self.teacher_cfg:
-            scale = 1.0 if cfg is None else cfg
-            if return_hidden:
-                # feature taps come from the conditional branch only
-                v_c, hidden = self.inner.forward(x_fm, tf, y, cfg=0.0,
-                                                 params=params, return_hidden=True)
-                v = v_c if np.ndim(scale) == 0 and scale == 1.0 else None
-                if v is None:
-                    null_y = np.full_like(np.asarray(y), self.inner.n_classes)
-                    v_u = self.inner.forward(x_fm, tf, null_y, cfg=0.0, params=params)
-                    v = v_u + (v_c - v_u) * scale
-            else:
-                v = cfg_velocity(self.inner, x_fm, tf, y, scale, params=params)
+            v = cfg_velocity(self.inner, x_fm, tf, y, 1.0 if cfg is None else cfg,
+                             params=params)
         else:
-            out = self.inner.forward(x_fm, tf, y, cfg=cfg, params=params,
-                                     return_hidden=return_hidden)
-            if return_hidden:
-                out, hidden = out
-            v = out
+            v = self.inner.forward(x_fm, tf, y, cfg=cfg, params=params)
         a = reshape(1.0 - tf * 2.0, (-1, 1))
         b = reshape(1.0 - tf * 2.0 + tf * tf * 2.0, (-1, 1))
-        result = (a * x_fm + b * v) * reshape(lam ** -1.0, (-1, 1))
-        return (result, hidden) if return_hidden else result
+        return (a * x_fm + b * v) * reshape(lam ** -1.0, (-1, 1))
 
     def consistency(self, x, t, y, cfg=None, params=None):
         """Solution-point prediction cos(t) x - sin(t) sigma_d F(x/sigma_d, t)."""
@@ -95,18 +84,9 @@ class TrigFlowAdapter:
         return ct * x - st * (self.velocity(x, t, y, cfg=cfg, params=params) * self.sigma_d)
 
     def features(self, x, t, y, params=None):
-        """Hidden activations of the (conditional) inner pass at raw-scale x."""
-        _, hidden = self.velocity(x, t, y, cfg=1.0 if self.teacher_cfg else 0.0,
-                                  params=params, return_hidden=True)
-        return hidden
-
-
-def trig_velocity(adapter, x, t, y, cfg=None, params=None):
-    return adapter.velocity(x, t, y, cfg=cfg, params=params)
-
-
-def consistency_f(adapter, x, t, y, cfg=None, params=None):
-    return adapter.consistency(x, t, y, cfg=cfg, params=params)
+        """Hidden activations of the unguided conditional inner pass at raw-scale x."""
+        tf, _, x_fm = self._to_fm(x, t)
+        return self.inner.forward(x_fm, tf, y, cfg=0.0, params=params, return_hidden=True)[1]
 
 
 def euler_sample_trig(adapter, n, steps, y, cfg, rng):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from tfdl.autodiff import Dual, Var, cat, silu, softmax, take_rows, vmean, vsum
+from tfdl.autodiff import (PRIMITIVES, Binary, Dual, Nary, Unary, Var, cat, cos, exp, log,
+                           relu, reshape, silu, sin, softmax, sqrt, take_rows, tanh, vmean,
+                           vsum)
 
 
 def test_dual_product_rule_t_times_x():
@@ -14,7 +16,7 @@ def test_dual_product_rule_t_times_x():
     v = rng.standard_normal((6, 2))
     xd = Dual(x, v)
     td = Dual(t, np.ones(6))
-    out = td.reshape((-1, 1)) * xd
+    out = reshape(td, (-1, 1)) * xd
     np.testing.assert_allclose(out.t, v * t[:, None] + x, rtol=0, atol=1e-14)
 
 
@@ -22,15 +24,15 @@ def test_dual_zero_tangent_stays_zero():
     rng = np.random.default_rng(1)
     x = Dual(rng.standard_normal((4, 3)))
     t = Dual(rng.uniform(0.1, 1.0, 4))
-    out = silu(x * t.reshape((-1, 1))).sum()
+    out = vsum(silu(x * reshape(t, (-1, 1))))
     assert out.t == 0.0
 
 
 @pytest.mark.parametrize("op", [
-    lambda a: a.sin(), lambda a: a.cos(), lambda a: a.exp(),
-    lambda a: (a * a + 0.5).log(), lambda a: (a * a + 0.1).sqrt(),
-    lambda a: a.tanh(), lambda a: a.silu(), lambda a: a.relu(),
-    lambda a: a.softmax(axis=-1), lambda a: a ** 3.0,
+    lambda a: sin(a), lambda a: cos(a), lambda a: exp(a),
+    lambda a: log(a * a + 0.5), lambda a: sqrt(a * a + 0.1),
+    lambda a: tanh(a), lambda a: silu(a), lambda a: relu(a),
+    lambda a: softmax(a, axis=-1), lambda a: a ** 3.0,
 ])
 def test_dual_matches_finite_differences(op):
     rng = np.random.default_rng(2)
@@ -91,7 +93,7 @@ def test_jvp_vjp_consistency():
 
 def test_constant_loss_zero_gradient():
     xv = Var(np.ones((3, 2)))
-    loss = (xv * 0.0).sum() + 7.0
+    loss = vsum(xv * 0.0) + 7.0
     loss.backward()
     np.testing.assert_array_equal(xv.grad, np.zeros((3, 2)))
 
@@ -129,3 +131,89 @@ def test_cat_splits_gradient():
     vsum(out * np.arange(10.0).reshape(2, 5)).backward()
     np.testing.assert_array_equal(a.grad, [[0, 1], [5, 6]])
     np.testing.assert_array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
+
+
+# -- per-primitive rule sweep -------------------------------------------------
+# Every entry of the rule table is checked on its own: the Dual tangent against
+# central differences, and <u, J v> (Dual) against <J^T u, v> (Var), with each
+# subset of arguments live and the others passed as constants. A new entry is
+# swept without new code here unless it needs static parameters (PARAMS) or a
+# positive domain (POSITIVE).
+
+PARAMS = {
+    "power": [(3.0,), (-0.5,)],
+    "softmax": [{"axis": -1}, {"axis": 0}],
+    "vsum": [{}, {"axis": 1}, {"axis": -1, "keepdims": True}, {"axis": (0, 1)}],
+    "vmean": [{}, {"axis": 0}, {"axis": 1, "keepdims": True}],
+    "reshape": [((-1,),), ((2, 6),), ((3, 4, 1),)],
+    "take_rows": [(np.array([3, 0, 3, 1, 2]),)],
+    "cat": [{"axis": -1}, {"axis": 0}],
+}
+POSITIVE = {"log", "sqrt", "power"}
+BINARY_SHAPES = {
+    "matmul": [((4, 3), (3, 2)), ((2, 4, 3), (3, 2)), ((4, 3), (2, 3, 2))],
+}
+ELEMENTWISE_SHAPES = [((4, 1), (1, 3)), ((3,), (2, 3)), ((2, 3), (3,)), ((2, 3), (2, 3))]
+CAT_SHAPES = {-1: [(4, 1), (4, 3), (4, 2)], 0: [(1, 3), (2, 3), (3, 3)]}
+
+
+def _operand(rng, shape, positive):
+    mag = rng.uniform(0.5, 1.5, shape)
+    return mag if positive else mag * rng.choice([-1.0, 1.0], shape)
+
+
+def _sweep_cases(name, prim):
+    """(primal args, static args, static kwargs, live argument subsets) per case."""
+    rng = np.random.default_rng(sorted(PRIMITIVES).index(name))
+    for static in PARAMS.get(name, [()]):
+        args, kw = (static, {}) if isinstance(static, tuple) else ((), static)
+        if isinstance(prim, Unary):
+            yield [_operand(rng, (4, 3), name in POSITIVE)], args, kw, [(0,)]
+        elif isinstance(prim, Binary):
+            for sa, sb in BINARY_SHAPES.get(name, ELEMENTWISE_SHAPES):
+                xs = [_operand(rng, sa, False), _operand(rng, sb, False)]
+                yield xs, args, kw, [(0,), (1,), (0, 1)]
+        else:
+            shapes = CAT_SHAPES[kw["axis"]]
+            xs = [_operand(rng, s, False) for s in shapes]
+            yield xs, args, kw, [(i,) for i in range(len(xs))] + [tuple(range(len(xs)))]
+
+
+def _apply(prim, xs, args, kw):
+    if isinstance(prim, Nary):
+        return prim(list(xs), *args, **kw)
+    return prim(*xs, *args, **kw)
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_rules(name):
+    prim = PRIMITIVES[name]
+    n_cases = 0
+    for xs, args, kw, subsets in _sweep_cases(name, prim):
+        plain = np.asarray(_apply(prim, xs, args, kw))
+        rng = np.random.default_rng(len(xs) + n_cases)
+        for live in subsets:
+            n_cases += 1
+            vs = [rng.standard_normal(np.shape(x)) if i in live else None
+                  for i, x in enumerate(xs)]
+            dual = _apply(prim, [Dual(x, v) if v is not None else x
+                                 for x, v in zip(xs, vs)], args, kw)
+            np.testing.assert_array_equal(dual.p, plain)
+            h = 1e-6
+            fp = _apply(prim, [x + h * v if v is not None else x for x, v in zip(xs, vs)], args, kw)
+            fm = _apply(prim, [x - h * v if v is not None else x for x, v in zip(xs, vs)], args, kw)
+            np.testing.assert_allclose(dual.t, (np.asarray(fp) - np.asarray(fm)) / (2 * h),
+                                       rtol=1e-6, atol=1e-8)
+            leaves = [Var(x) if v is not None else x for x, v in zip(xs, vs)]
+            out = _apply(prim, leaves, args, kw)
+            np.testing.assert_array_equal(out.v, plain)
+            u = rng.standard_normal(plain.shape)
+            out.backward(seed=u)
+            lhs = float(np.sum(u * dual.t))
+            rhs = 0.0
+            for leaf, v in zip(leaves, vs):
+                if v is not None:
+                    assert leaf.grad.shape == v.shape
+                    rhs += float(np.sum(leaf.grad * v))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    assert n_cases > 0

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tfdl import runio
 from tfdl.cli import cli
 from tfdl.runio import RunConfig
 
@@ -106,3 +107,59 @@ def test_plot_writes_dataset_artifacts(run_dir):
     out = root / "out"
     assert cli(["plot", "--config", str(cfg_path)]) == 0
     assert (out / "dataset.svg").exists() and (out / "dataset.csv").exists()
+
+
+def _rewrite_header(path, edit):
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _bad_schema(path):
+    _rewrite_header(path, lambda h: h.update(schema=99))
+
+
+def _flip_shape(path):
+    _rewrite_header(path, lambda h: h["shapes"]["in_w"].reverse())
+
+
+def _nan_param(path):
+    data = bytearray(path.read_bytes())
+    data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _bad_schema, _flip_shape, _nan_param])
+def test_malformed_checkpoint_exits_3(run_dir, tmp_path, capsys, corrupt):
+    root, cfg_path = run_dir
+    bad = tmp_path / "student.ckpt"
+    bad.write_bytes((root / "out" / "student.ckpt").read_bytes())
+    corrupt(bad)
+    capsys.readouterr()
+    code = cli(["sample", "--config", str(cfg_path), "--out", str(tmp_path),
+                "--ckpt", str(bad)])
+    assert code == 3
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_interrupted_checkpoint_write_keeps_old_file(run_dir, tmp_path):
+    root, _ = run_dir
+    path = tmp_path / "student.ckpt"
+    path.write_bytes((root / "out" / "student.ckpt").read_bytes())
+    before = path.read_bytes()
+    net, _ = runio.load_net(str(path))
+
+    class FailingValues:
+        def astype(self, dtype):
+            raise OSError("disk full")
+
+    params = net.params.copy()
+    params.flat = FailingValues()
+    with pytest.raises(OSError):
+        runio.save_params(str(path), params)
+    assert path.read_bytes() == before

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tfdl
-from tfdl.autodiff import Var
+from tfdl.autodiff import Var, vmean, vsum
 from tfdl.errors import NumericsError
 
 
@@ -69,7 +69,7 @@ def test_jvp_vjp_consistency_through_net():
     _, jv = net.jvp(x, t, y, cfg, x_tan, t_tan)
     xv, tv = Var(x), Var(t)
     out = net.forward(xv, tv, y, cfg)
-    (out * u).sum().backward()
+    vsum(out * u).backward()
     lhs = float(np.sum(u * jv))
     rhs = float(np.sum(xv.grad * x_tan) + np.sum(tv.grad * t_tan))
     assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1e-10)
@@ -82,7 +82,7 @@ def test_grad_matches_finite_differences():
 
     def loss_fn(P):
         out = net.forward(x, t, y, cfg, params=P)
-        return (out * out).mean()
+        return vmean(out * out)
 
     val, grad = net.value_and_grad(loss_fn)
     flat = net.params.flat
@@ -101,7 +101,7 @@ def test_grad_matches_finite_differences():
 
 def test_constant_loss_has_zero_gradient():
     net = tfdl.VelocityNet(1, seed=8)
-    grad = net.grad(lambda P: (P["in_w"] * 0.0).sum() + 3.0)
+    grad = net.grad(lambda P: vsum(P["in_w"] * 0.0) + 3.0)
     np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
 
@@ -112,7 +112,7 @@ def test_gradient_linear_in_batch():
 
     def loss_sum(P, sl):
         out = net.forward(x[sl], t[sl], y[sl], cfg[sl], params=P)
-        return (out * out).sum()
+        return vsum(out * out)
 
     g_full = net.grad(lambda P: loss_sum(P, slice(None)))
     g_parts = sum(net.grad(lambda P, i=i: loss_sum(P, slice(i, i + 1))) for i in range(4))

@@ -191,3 +191,67 @@ def test_search_one_consistency_call_per_candidate():
                                         0, 1.0, eval_seed=3)
         assert sched.steps == steps
         assert calls == [c for _, c, _ in table]
+
+
+CLI_GRID = [0.05, 0.1, 0.15] + [round(t, 2) for t in np.arange(0.2, 1.55, 0.1)]
+
+
+def test_search_weak_student_reaches_all_steps():
+    # an untrained net favours the smallest time in every round; the walk must
+    # still leave room below each pick instead of running out of candidates
+    net = tfdl.VelocityNet(2, width=16, depth=1, n_freq=8, seed=4)
+    adapter = TrigFlowAdapter(net, 0.8)
+    ds = tfdl.generate("gauss-mix", 2000, seed=0, components=2)
+    rng = np.random.default_rng(0)
+    ref = ds.points[rng.integers(0, len(ds), 256)]
+    y = rng.integers(0, 2, 256)
+    for steps in (3, 4):
+        sched, table = search_timesteps(adapter, lambda s: sliced_w2(s, ref, seed=3), steps,
+                                        CLI_GRID, 256, y, 4.5, eval_seed=3)
+        assert sched.steps == steps
+        for k, c, _ in table:
+            assert sum(0.0 < g < c for g in CLI_GRID) >= steps - 1 - k
+
+
+def test_search_grid_too_short_rejected_up_front():
+    calls = []
+
+    class CountingAdapter:
+        sigma_d = 1.0
+
+        def consistency(self, x, t, y, cfg=None, params=None):
+            calls.append(t)
+            return np.asarray(x)
+
+    with pytest.raises(ConfigurationError):
+        search_timesteps(CountingAdapter(), _quadratic_metric(np.zeros(2)), 4,
+                         [0.0, 0.3, 0.6], 8, 0, 1.0)
+    assert calls == []
+
+
+def _unrestricted_greedy(adapter, metric, steps, grid, n, y, cfg, eval_seed):
+    """Greedy walk offering every grid point below the previous pick, each
+    scored by sampling its full schedule afresh."""
+    rows, times = [], []
+    cands = [float(np.arctan(nn / adapter.sigma_d)) for nn in (50.0, 100.0, 200.0, 400.0)]
+    for k in range(steps):
+        if k:
+            cands = [c for c in grid if 0.0 < c < times[-1]]
+        scores = [metric(multistep_sample(adapter, StepSchedule(tuple(times) + (c, 0.0)), n, y,
+                                          cfg, np.random.default_rng(eval_seed)))
+                  for c in cands]
+        rows += [(k, c, s) for c, s in zip(cands, scores)]
+        times.append(cands[int(np.argmin(scores))])
+    return tuple(times) + (0.0,), rows
+
+
+@pytest.mark.parametrize("make_case", [_analytic_case, _velocity_net_case])
+def test_search_feasibility_keeps_a_succeeding_schedule(make_case):
+    # the feasibility filter only drops rows a successful walk never picks:
+    # the schedule and the scores of every surviving row stay as they were
+    adapter, y, metric = make_case()
+    expect_times, expect_rows = _unrestricted_greedy(adapter, metric, 4, ORACLE_GRID, 64, y,
+                                                     2.0, eval_seed=7)
+    sched, table = search_timesteps(adapter, metric, 4, ORACLE_GRID, 64, y, 2.0, eval_seed=7)
+    assert sched.times == expect_times
+    assert set(table) < set(expect_rows)

@@ -7,8 +7,7 @@ import tfdl
 from conftest import AnalyticGaussianFM, ConstFM, ZeroFM
 from tfdl.errors import DomainError
 from tfdl.schedule import HALF_PI, flow_matching, snr, trigflow
-from tfdl.trigflow import (TrigFlowAdapter, consistency_f, euler_sample_trig,
-                           scale_factor, t_fm_of, trig_velocity)
+from tfdl.trigflow import TrigFlowAdapter, euler_sample_trig, scale_factor, t_fm_of
 
 
 def test_t_fm_of_reference_points():
@@ -54,7 +53,7 @@ def test_analytic_velocity_transforms_to_zero(analytic_adapter):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1000, 2))
     t = rng.uniform(0, HALF_PI, 1000)
-    v = trig_velocity(analytic_adapter, x, t, np.zeros(1000, dtype=int), cfg=1.0)
+    v = analytic_adapter.velocity(x, t, np.zeros(1000, dtype=int), cfg=1.0)
     assert np.abs(v).max() <= 1e-10
 
 
@@ -63,20 +62,20 @@ def test_coefficients_at_quarter_pi():
     value = np.array([0.3, -1.1])
     adapter = TrigFlowAdapter(ConstFM(value), sigma_d=0.5, teacher_cfg=True)
     x = np.random.default_rng(3).standard_normal((4, 2))
-    out = trig_velocity(adapter, x, np.full(4, np.pi / 4), np.zeros(4, dtype=int), cfg=1.0)
+    out = adapter.velocity(x, np.full(4, np.pi / 4), np.zeros(4, dtype=int), cfg=1.0)
     np.testing.assert_allclose(out, np.tile(value / np.sqrt(2.0), (4, 1)), atol=1e-14)
 
 
 def test_zero_net_zero_at_half_time():
     adapter = TrigFlowAdapter(ZeroFM(), sigma_d=1.0, teacher_cfg=True)
     x = np.random.default_rng(4).standard_normal((4, 2))
-    out = trig_velocity(adapter, x, np.full(4, np.pi / 4), np.zeros(4, dtype=int), cfg=1.0)
+    out = adapter.velocity(x, np.full(4, np.pi / 4), np.zeros(4, dtype=int), cfg=1.0)
     np.testing.assert_array_equal(out, np.zeros_like(out))
 
 
 def test_consistency_boundary_identity(analytic_adapter):
     x = np.random.default_rng(5).standard_normal((1000, 2))
-    f = consistency_f(analytic_adapter, x, np.zeros(1000), np.zeros(1000, dtype=int), cfg=1.0)
+    f = analytic_adapter.consistency(x, np.zeros(1000), np.zeros(1000, dtype=int), cfg=1.0)
     assert np.abs(f - x).max() <= 1e-14
 
 
@@ -84,7 +83,7 @@ def test_consistency_matched_gaussian_is_posterior_mean(analytic_adapter):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((64, 2))
     t = rng.uniform(0, HALF_PI, 64)
-    f = consistency_f(analytic_adapter, x, t, np.zeros(64, dtype=int), cfg=1.0)
+    f = analytic_adapter.consistency(x, t, np.zeros(64, dtype=int), cfg=1.0)
     np.testing.assert_allclose(f, np.cos(t)[:, None] * x, atol=1e-10)
 
 
@@ -93,8 +92,8 @@ def test_consistency_pure_prediction_at_max_time():
     sd = 0.8
     adapter = TrigFlowAdapter(ConstFM(value), sigma_d=sd, teacher_cfg=True)
     x = np.random.default_rng(7).standard_normal((4, 2))
-    f = consistency_f(adapter, x, np.full(4, HALF_PI), np.zeros(4, dtype=int), cfg=1.0)
-    expect = -sd * trig_velocity(adapter, x, np.full(4, HALF_PI), np.zeros(4, dtype=int), cfg=1.0)
+    f = adapter.consistency(x, np.full(4, HALF_PI), np.zeros(4, dtype=int), cfg=1.0)
+    expect = -sd * adapter.velocity(x, np.full(4, HALF_PI), np.zeros(4, dtype=int), cfg=1.0)
     np.testing.assert_allclose(f, expect, atol=1e-12)
 
 
@@ -148,3 +147,21 @@ def test_trig_euler_self_convergence(gauss_ds, teacher):
         w[steps] = sliced_w2(pts, ref, seed=5)
     # |W(25) - W(50)| bounds the 25-step discretization error estimate
     assert abs(w[50] - w[100]) <= abs(w[25] - w[50]) + 0.02
+
+
+def test_adapter_value_identical_in_every_mode():
+    # the stop-gradient value the distillation takes from the JVP pass must be
+    # the plain forward bit for bit, and so must the tape value
+    from tfdl.autodiff import Dual, Var
+    rng = np.random.default_rng(14)
+    net = tfdl.VelocityNet(2, seed=15, zero_out=False)
+    x = rng.standard_normal((8, 2))
+    t = rng.uniform(0.05, HALF_PI - 0.05, 8)
+    y = rng.integers(0, 2, 8)
+    for teacher_cfg in (False, True):
+        adapter = TrigFlowAdapter(net, sigma_d=0.6, teacher_cfg=teacher_cfg)
+        plain = adapter.velocity(x, t, y, cfg=4.5)
+        dual = adapter.velocity(Dual(x, rng.standard_normal((8, 2))), Dual(t, np.ones(8)), y, cfg=4.5)
+        tape = adapter.velocity(Var(x), Var(t), y, cfg=4.5)
+        np.testing.assert_array_equal(dual.p, plain)
+        np.testing.assert_array_equal(tape.v, plain)
