@@ -186,11 +186,16 @@ def _draw_gen_batch(state, x0, rng, cfg_scales):
     return z, t, cfg
 
 
+def _perturb(x0, z, t):
+    """Trig-schedule noisy point cos(t) x0 + sin(t) z, one time per row."""
+    return np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
+
+
 def scm_loss(state, batch, rng, r=1.0, tangent_c=0.1, cfg_scales=(4.0, 4.5, 5.0)):
     """Value of the consistency loss on a fresh draw (no adversarial term)."""
     x0, y = batch_arrays(batch)
     z, t, cfg = _draw_gen_batch(state, x0, rng, cfg_scales)
-    x_t = np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
+    x_t = _perturb(x0, z, t)
     g, f_sg = _tangent_and_value(state, x_t, t, y, cfg, r, tangent_c)
     f_live = np.asarray(state.student.velocity(x_t, t, y, cfg=cfg))
     w = np.asarray(state.wphi.forward(t))
@@ -233,13 +238,7 @@ def _mix_max_time(t, p, rng):
 
 def _fake_clean(state, x0, y, z, t, cfg, student_leaves=None):
     """Generated clean points from renoised data; tape-mode iff leaves given."""
-    x_t = np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
-    return state.student.consistency(x_t, t, y, cfg=cfg, params=student_leaves)
-
-
-def _renoise(xhat0, s, z):
-    cs, ss = np.cos(s)[:, None], np.sin(s)[:, None]
-    return xhat0 * cs + ss * z
+    return state.student.consistency(_perturb(x0, z, t), t, y, cfg=cfg, params=student_leaves)
 
 
 def disc_loss(state, batch, rng, cfg_scales=(4.0, 4.5, 5.0), head_leaves=None):
@@ -249,9 +248,8 @@ def disc_loss(state, batch, rng, cfg_scales=(4.0, 4.5, 5.0), head_leaves=None):
     t = _mix_max_time(t, state.gen_tdist.max_time_prob, rng)
     xhat0 = np.asarray(_fake_clean(state, x0, y, z, t, cfg))
     s = sample_t(state.disc_tdist, rng, len(x0))
-    x_s = np.cos(s)[:, None] * x0 + np.sin(s)[:, None] * z
     # one doubled teacher pass covers both the real and the generated batch
-    both = state.teacher.features(np.concatenate([x_s, _renoise(xhat0, s, z)]),
+    both = state.teacher.features(np.concatenate([_perturb(x0, z, s), _perturb(xhat0, z, s)]),
                                   np.concatenate([s, s]), np.concatenate([y, y]))
     n = len(x0)
     real_feats = [f[:n] for f in both]
@@ -268,7 +266,7 @@ def gen_adv_loss(state, batch, rng, cfg_scales=(4.0, 4.5, 5.0), student_leaves=N
     t = _mix_max_time(t, state.gen_tdist.max_time_prob, rng)
     xhat0 = _fake_clean(state, x0, y, z, t, cfg, student_leaves=student_leaves)
     s = sample_t(state.disc_tdist, rng, len(x0))
-    fake_feats = state.teacher.features(_renoise(xhat0, s, z), s, y)
+    fake_feats = state.teacher.features(_perturb(xhat0, z, s), s, y)
     loss = hinge_gen(state.heads.scores(fake_feats))
     return loss if student_leaves is not None else float(np.asarray(loss))
 
@@ -287,7 +285,7 @@ def _generator_objective(state, config, r, x0, y, z, t, t_gan, s, cfg,
     total = 0.0
     scm_val = adv_val = 0.0
     if config.use_scm:
-        x_t = np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
+        x_t = _perturb(x0, z, t)
         if g is None:
             g, f_sg = _tangent_and_value(state, x_t, t, y, cfg, r, config.tangent_c)
         total = _scm_objective(state, x_t, t, y, cfg, g, f_sg,
@@ -295,7 +293,7 @@ def _generator_objective(state, config, r, x0, y, z, t, t_gan, s, cfg,
         scm_val = float(primal(total))
     if config.lambda_adv > 0:
         xhat0 = _fake_clean(state, x0, y, z, t_gan, cfg, student_leaves=student_leaves)
-        fake_feats = state.teacher.features(_renoise(xhat0, s, z), s, y)
+        fake_feats = state.teacher.features(_perturb(xhat0, z, s), s, y)
         adv = hinge_gen(state.heads.scores(fake_feats))
         adv_val = float(primal(adv))
         total = total + config.lambda_adv * adv

@@ -5,6 +5,9 @@ token reshaping of the hidden state. Time enters through a sinusoidal
 embedding of ``c_noise_scale * t``; the guidance scale enters through an
 embedding of ``0.1 * cfg`` added to the time embedding; class conditions come
 from a learned table with one reserved null row for the unconditional branch.
+When ``t`` or ``cfg`` holds one value for the whole batch (every sampling
+step, every distillation batch's guidance scale), its embedding is computed
+once per call as a single row that broadcasts over the batch.
 
 The same forward code runs in three modes: plain ndarrays for inference,
 ``Dual`` arrays for exact forward-mode tangents (jvp), and tape ``Var`` leaves
@@ -103,14 +106,21 @@ class VelocityNet:
         o = softmax(logits, axis=-1) @ v
         return reshape(o @ P["attn_wo"], (-1, self.width))
 
-    def _time_embed(self, P, t):
-        args = reshape(t * self.c_noise_scale, (-1, 1)) * P["time_freq"]
+    @staticmethod
+    def _embed(P, v, scale):
+        """Sinusoidal embedding of ``scale * v``, one row per entry of ``v``.
+
+        A plain array whose entries are all equal is embedded once, as a
+        single row that broadcasts against the batch.
+        """
+        if isinstance(v, np.ndarray) and v.size > 1 and np.all(v == v.flat[0]):
+            v = v[:1]
+        args = reshape(v * scale, (-1, 1)) * P["time_freq"]
         return cat([sin(args), cos(args)], axis=-1)
 
     def _core(self, P, x, t, y, cfg, collect_hidden=False):
-        emb_t = self._time_embed(P, t)
-        uarg = reshape(cfg * 0.1, (-1, 1)) * P["time_freq"]
-        emb_c = cat([sin(uarg), cos(uarg)], axis=-1) @ P["cfg_proj"]
+        emb_t = self._embed(P, t, self.c_noise_scale)
+        emb_c = self._embed(P, cfg, 0.1) @ P["cfg_proj"]
         cond = emb_t + take_rows(P["cls_table"], y) + emb_c
         h = x @ P["in_w"] + P["in_b"] + cond
         hidden = []
@@ -171,7 +181,7 @@ class VelocityNet:
     def time_embed_sensitivity(self, t):
         """Norm of the time-embedding derivative d emb(c_noise(t))/dt."""
         td = Dual(np.asarray([t], dtype=np.float64), np.ones(1))
-        emb = self._time_embed(self.params, td)
+        emb = self._embed(self.params, td, self.c_noise_scale)
         return float(np.sqrt(np.sum(emb.t ** 2)))
 
     # -- construction helpers ---------------------------------------------

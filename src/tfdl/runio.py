@@ -108,7 +108,8 @@ def save_params(path, params, meta=None, c_noise_scale=None, qk_norm=None):
     """Write the checkpoint header line and the float64 segment bytes.
 
     The bytes go to a temporary file first and replace ``path`` in one step,
-    so an interrupted write never leaves a truncated checkpoint behind.
+    so an interrupted write never leaves a truncated checkpoint behind; a
+    failed write removes the temporary file and re-raises.
     """
     header = {"schema": CKPT_SCHEMA,
               "segments": list(params.names),
@@ -117,10 +118,15 @@ def save_params(path, params, meta=None, c_noise_scale=None, qk_norm=None):
               "qk_norm": qk_norm,
               "meta": meta or {}}
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(params.flat.astype("<f8").tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            fh.write(params.flat.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _malformed(path, problem):

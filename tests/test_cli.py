@@ -163,3 +163,4 @@ def test_interrupted_checkpoint_write_keeps_old_file(run_dir, tmp_path):
     with pytest.raises(OSError):
         runio.save_params(str(path), params)
     assert path.read_bytes() == before
+    assert not (tmp_path / "student.ckpt.tmp").exists()

@@ -71,6 +71,23 @@ def test_mmd_symmetric():
     assert mmd_rbf(a, b) == pytest.approx(mmd_rbf(b, a), rel=1e-12)
 
 
+def test_mmd_matches_dense_kernel_formula():
+    # unequal sizes, neither a multiple of the kernel's row block
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((700, 2))
+    b = 0.8 * rng.standard_normal((1030, 2)) + 0.3
+    gamma = 0.5 / 0.7 ** 2
+
+    def kernel(u, v):
+        return np.exp(-gamma * ((u[:, None, :] - v[None, :, :]) ** 2).sum(-1))
+
+    kaa, kbb, kab = kernel(a, a), kernel(b, b), kernel(a, b)
+    dense = ((kaa.sum() - np.trace(kaa)) / (700 * 699)
+             + (kbb.sum() - np.trace(kbb)) / (1030 * 1029) - 2.0 * kab.mean())
+    assert dense > 0
+    assert mmd_rbf(a, b, bandwidth=0.7) == pytest.approx(dense, rel=1e-12)
+
+
 def test_mmd_rejects_single_sample():
     # the unbiased within-set terms divide by n (n - 1)
     one, many = np.zeros((1, 2)), np.ones((8, 2))

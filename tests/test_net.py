@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tfdl
-from tfdl.autodiff import Var, vmean, vsum
+from tfdl.autodiff import Dual, Var, vmean, vsum
 from tfdl.errors import NumericsError
 
 
@@ -159,3 +159,88 @@ def test_time_embed_sensitivity_matches_fd():
     sens = net.time_embed_sensitivity(t)
     assert sens > 0
     assert abs(sens - fd) / fd < 1e-4
+
+
+# -- conditioning embedded once per call when t / cfg are constant -----------
+
+def _conditioned_net(seed):
+    # cfg_proj and attn_wo start at zero; give them weight so the guidance
+    # embedding and the attention block reach the output
+    net = tfdl.VelocityNet(3, seed=seed, zero_out=False)
+    rng = np.random.default_rng(seed)
+    for name in ("cfg_proj", "attn_wo"):
+        net.params[name] = 0.1 * rng.standard_normal(net.params.shapes[name])
+    return net
+
+
+def _constant_and_per_row(rng, n=16, t0=0.7, cfg0=4.5):
+    """A constant-(t, cfg) batch, and the same rows plus one with other values.
+
+    The extra row makes t and cfg vary, so the longer batch embeds per row;
+    its first n rows are the constant batch.
+    """
+    x = rng.standard_normal((n, 2))
+    y = rng.integers(0, 3, n)
+    const = (x, np.full(n, t0), y, np.full(n, cfg0))
+    per_row = (np.vstack([x, x[:1]]), np.append(const[1], t0 + 0.25),
+               np.append(y, y[:1]), np.append(const[3], cfg0 + 1.0))
+    return const, per_row
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_constant_conditioning_forward_matches_per_row():
+    net = _conditioned_net(20)
+    const, per_row = _constant_and_per_row(np.random.default_rng(20))
+    n = len(const[0])
+    assert _rel(net.forward(*const), net.forward(*per_row)[:n]) <= 1e-12
+
+
+def test_constant_conditioning_jvp_matches_per_row():
+    net = _conditioned_net(21)
+    rng = np.random.default_rng(21)
+    const, per_row = _constant_and_per_row(rng)
+    n = len(const[0])
+    x_tan = rng.standard_normal((n + 1, 2))
+    p1, t1 = net.jvp(*const, x_tan[:n], np.zeros(n))
+    p2, t2 = net.jvp(*per_row, x_tan, np.zeros(n + 1))
+    assert _rel(p1, p2[:n]) <= 1e-12
+    assert _rel(t1, t2[:n]) <= 1e-12
+
+
+def test_constant_conditioning_gradient_matches_per_row():
+    net = _conditioned_net(22)
+    rng = np.random.default_rng(22)
+    const, per_row = _constant_and_per_row(rng)
+    n = len(const[0])
+    u = np.vstack([rng.standard_normal((n, 2)), np.zeros((1, 2))])  # extra row weighs 0
+    v1, g1 = net.value_and_grad(lambda P: vsum(net.forward(*const, params=P) * u[:n]))
+    v2, g2 = net.value_and_grad(lambda P: vsum(net.forward(*per_row, params=P) * u))
+    assert abs(v1 - v2) <= 1e-12 * abs(v2)
+    assert _rel(g1, g2) <= 1e-12
+    for name in ("cfg_proj", "time_freq"):
+        sl = net.params.slices[name]
+        assert _rel(g1[sl], g2[sl]) <= 1e-12
+
+
+def test_constant_time_embedding_is_bit_identical_to_per_row():
+    net = tfdl.VelocityNet(3, seed=23, c_noise_scale=1000.0)
+    for t0 in (1e-3, 0.3, 1.0):
+        t = np.full(64, t0)
+        one = net._embed(net.params, t, net.c_noise_scale)
+        rows = net._embed(net.params, np.append(t, t0 + 0.1), net.c_noise_scale)[:64]
+        assert one.shape == (1, net.width)
+        np.testing.assert_array_equal(np.broadcast_to(one, rows.shape), rows)
+
+
+def test_per_row_embedding_paths_unchanged():
+    net = tfdl.VelocityNet(3, seed=24)
+    P, w = net.params, net.width
+    t = np.full(5, 0.3)
+    assert net._embed(P, t, 1.0).shape == (1, w)
+    # a Dual time keeps one row per entry, even when its values are equal
+    assert net._embed(P, Dual(t, np.ones(5)), 1.0).p.shape == (5, w)
+    assert net._embed(P, t[:1], 1.0).shape == (1, w)
+    assert net._embed(P, np.array([0.3, 0.4, 0.3]), 1.0).shape == (3, w)
