@@ -263,6 +263,16 @@ def _silu_fwd(x):
     return x * s, s
 
 
+def _silu(x):
+    # x * _sigmoid(x) with the same operations in the same order, in one buffer
+    s = 0.5 * x
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    s *= x
+    return s
+
+
 def _softmax(z, axis=-1):
     m = z - z.max(axis=axis, keepdims=True)
     e = np.exp(m)
@@ -317,7 +327,7 @@ log = Unary("log", np.log, lambda t, x, r: t / x)
 sqrt = Unary("sqrt", np.sqrt, lambda t, x, y: 0.5 * t / y)
 tanh = Unary("tanh", np.tanh, lambda t, x, y: t * (1.0 - y * y))
 relu = Unary("relu", lambda x: np.maximum(x, 0.0), lambda t, x, r: np.where(x > 0, t, 0.0))
-silu = Unary("silu", lambda x: x * _sigmoid(x), lambda t, x, s: t * (s * (1.0 + x * (1.0 - s))),
+silu = Unary("silu", _silu, lambda t, x, s: t * (s * (1.0 + x * (1.0 - s))),
              fwd=_silu_fwd)
 softmax = Unary("softmax", _softmax, _softmax_rule)
 power = Unary("power", lambda x, k: x ** k, lambda t, x, r, k: t * (k * x ** (k - 1.0)))

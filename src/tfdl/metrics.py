@@ -1,4 +1,11 @@
-"""Distribution distances used to score sample quality on 2D point sets."""
+"""Distribution distances used to score sample quality on 2D point sets.
+
+``mmd_rbf`` never holds a whole kernel matrix: it builds each kernel in
+square tiles of at most ``_MMD_TILE`` (256) points a side, so one tile's
+float64 temporary (512 KiB) stays in cache. The two self-kernels are
+symmetric with a unit diagonal, so only the tiles on and above the diagonal
+are built, and the diagonal counts as exactly n (``exp(-0) = 1``).
+"""
 
 from __future__ import annotations
 
@@ -36,20 +43,34 @@ def sliced_w2(a, b, n_proj=64, seed=0):
     return _sliced_w2_dirs(a, b, dirs)
 
 
-_MMD_BLOCK = 512  # rows of the kernel held in memory at once
+_MMD_TILE = 256  # side of the square kernel tiles held in memory at once
+
+
+def _tile_sum(u, v, gamma):
+    """Sum of exp(-gamma * |u_i - v_j|^2) over the pairs of one tile."""
+    sq = np.zeros((len(u), len(v)))
+    for k in range(u.shape[1]):
+        d = u[:, k, None] - v[:, k]
+        sq += d * d
+    sq *= -gamma
+    return np.exp(sq, out=sq).sum()
 
 
 def _kernel_sum(u, v, gamma):
-    """Sum of exp(-gamma * |u_i - v_j|^2) over all pairs, built in row blocks."""
+    """Kernel sum over all pairs of ``u`` and ``v``, built in square tiles."""
+    return sum(_tile_sum(u[i:i + _MMD_TILE], v[j:j + _MMD_TILE], gamma)
+               for i in range(0, len(u), _MMD_TILE) for j in range(0, len(v), _MMD_TILE))
+
+
+def _self_kernel_sum(u, gamma):
+    """Kernel sum over all pairs of ``u``, using the kernel's symmetry: tiles
+    on the diagonal are summed in full and each tile above it counts twice."""
     total = 0.0
-    for i in range(0, len(u), _MMD_BLOCK):
-        rows = u[i:i + _MMD_BLOCK]
-        sq = np.zeros((len(rows), len(v)))
-        for k in range(u.shape[1]):
-            d = rows[:, k, None] - v[:, k]
-            sq += d * d
-        sq *= -gamma
-        total += np.exp(sq, out=sq).sum()
+    for i in range(0, len(u), _MMD_TILE):
+        rows = u[i:i + _MMD_TILE]
+        total += _tile_sum(rows, rows, gamma)
+        for j in range(i + _MMD_TILE, len(u), _MMD_TILE):
+            total += 2.0 * _tile_sum(rows, u[j:j + _MMD_TILE], gamma)
     return total
 
 
@@ -64,8 +85,8 @@ def mmd_rbf(a, b, bandwidth=1.0):
         raise ValueError("the unbiased estimate needs at least 2 samples per side")
     gamma = 1.0 / (2.0 * bandwidth ** 2)
     na, nb = len(a), len(b)
-    est = ((_kernel_sum(a, a, gamma) - na) / (na * (na - 1))
-           + (_kernel_sum(b, b, gamma) - nb) / (nb * (nb - 1))
+    est = ((_self_kernel_sum(a, gamma) - na) / (na * (na - 1))
+           + (_self_kernel_sum(b, gamma) - nb) / (nb * (nb - 1))
            - 2.0 * _kernel_sum(a, b, gamma) / (na * nb))
     return max(0.0, float(est))
 

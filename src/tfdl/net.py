@@ -9,6 +9,15 @@ When ``t`` or ``cfg`` holds one value for the whole batch (every sampling
 step, every distillation batch's guidance scale), its embedding is computed
 once per call as a single row that broadcasts over the batch.
 
+A plain-ndarray forward of more than ``_ROW_BLOCK`` (512) rows runs in
+consecutive blocks of at most that many rows. At a few thousand rows each
+``(B, width)`` float64 temporary outgrows a core's L2 cache, and the ~30
+elementwise, attention and SiLU passes of a forward would each stream it from
+L3 or memory; a block's temporaries stay in cache. Rows are independent (the
+attention mixes only the tokens of one row), so blocking changes GEMM
+rounding and nothing else. Batches of at most 512 rows, ``jvp`` and every
+forward that carries a ``Dual`` or ``Var`` run as one pass.
+
 The same forward code runs in three modes: plain ndarrays for inference,
 ``Dual`` arrays for exact forward-mode tangents (jvp), and tape ``Var`` leaves
 for reverse-mode gradients (grad).
@@ -24,6 +33,11 @@ from .errors import NumericsError
 from .optim import ParamVector
 
 _RMS_EPS = 1e-30  # keeps 0/0 finite without breaking positive-scale invariance
+_ROW_BLOCK = 512  # rows per block of a plain forward; keeps temporaries in L2
+
+
+def _traced(v):
+    return isinstance(v, (Dual, ad.Var))
 
 
 def _as_batch(x):
@@ -134,13 +148,13 @@ class VelocityNet:
         return (out, hidden) if collect_hidden else out
 
     def _prep(self, x, t, y, cfg):
-        if not isinstance(x, (Dual, ad.Var)):
+        if not _traced(x):
             x = _as_batch(x)
         n = primal(x).shape[0]
-        if not isinstance(t, (Dual, ad.Var)):
+        if not _traced(t):
             t = _as_vec(t, n)
         y = _as_vec(y, n, dtype=np.int64)
-        if not isinstance(cfg, (Dual, ad.Var)):
+        if not _traced(cfg):
             cfg = _as_vec(0.0 if cfg is None else cfg, n)
         if not (np.all(np.isfinite(primal(x))) and np.all(np.isfinite(primal(t)))
                 and np.all(np.isfinite(primal(cfg)))):
@@ -152,10 +166,23 @@ class VelocityNet:
     # -- public evaluation ----------------------------------------------------
 
     def forward(self, x, t, y, cfg=None, params=None, return_hidden=False):
-        """Velocity prediction, shape (B, 2)."""
+        """Velocity prediction, shape (B, 2).
+
+        Plain inputs of more than ``_ROW_BLOCK`` rows run in row blocks.
+        """
         x, t, y, cfg = self._prep(x, t, y, cfg)
         P = self.params if params is None else params
-        return self._core(P, x, t, y, cfg, collect_hidden=return_hidden)
+        n = len(y)
+        if (n <= _ROW_BLOCK or _traced(x) or _traced(t) or _traced(cfg)
+                or any(_traced(P[name]) for name in P)):
+            return self._core(P, x, t, y, cfg, collect_hidden=return_hidden)
+        blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
+        parts = [self._core(P, x[b], t[b], y[b], cfg[b], collect_hidden=return_hidden)
+                 for b in blocks]
+        if not return_hidden:
+            return np.concatenate(parts)
+        outs, hidden = zip(*parts)
+        return np.concatenate(outs), [np.concatenate(layer) for layer in zip(*hidden)]
 
     def jvp(self, x, t, y, cfg, x_tan, t_tan):
         """Value and exact directional derivative along (x_tan, t_tan)."""

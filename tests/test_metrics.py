@@ -7,7 +7,7 @@ import pytest
 
 import tfdl
 from tfdl.errors import ConfigurationError
-from tfdl.metrics import _sliced_w2_dirs, mmd_rbf, sliced_w2
+from tfdl.metrics import _MMD_TILE, _sliced_w2_dirs, mmd_rbf, sliced_w2
 from tfdl.runio import RunConfig, load_net, save_net
 
 
@@ -86,6 +86,34 @@ def test_mmd_matches_dense_kernel_formula():
              + (kbb.sum() - np.trace(kbb)) / (1030 * 1029) - 2.0 * kab.mean())
     assert dense > 0
     assert mmd_rbf(a, b, bandwidth=0.7) == pytest.approx(dense, rel=1e-12)
+
+
+def _dense_mmd(a, b, gamma):
+    def kernel(u, v):
+        return np.exp(-gamma * ((u[:, None, :] - v[None, :, :]) ** 2).sum(-1))
+
+    na, nb = len(a), len(b)
+    kaa, kbb, kab = kernel(a, a), kernel(b, b), kernel(a, b)
+    return ((kaa.sum() - np.trace(kaa)) / (na * (na - 1))
+            + (kbb.sum() - np.trace(kbb)) / (nb * (nb - 1)) - 2.0 * kab.mean())
+
+
+@pytest.mark.parametrize("na, nb", [(2 * _MMD_TILE, _MMD_TILE),
+                                    (_MMD_TILE + 1, 2 * _MMD_TILE + 1)])
+def test_mmd_matches_dense_kernel_formula_at_tile_edges(na, nb):
+    # exact tile multiples, and one point past a tile on each side
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((na, 2))
+    b = 0.8 * rng.standard_normal((nb, 2)) + 0.3
+    gamma = 0.5 / 0.7 ** 2
+    dense = _dense_mmd(a, b, gamma)
+    assert dense > 0
+    assert mmd_rbf(a, b, bandwidth=0.7) == pytest.approx(dense, rel=1e-12)
+
+
+def test_mmd_identical_samples_over_several_tiles_is_zero():
+    a = np.random.default_rng(9).standard_normal((2 * _MMD_TILE + 7, 2))
+    assert mmd_rbf(a, a.copy()) == 0.0
 
 
 def test_mmd_rejects_single_sample():

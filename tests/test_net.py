@@ -6,6 +6,7 @@ import pytest
 import tfdl
 from tfdl.autodiff import Dual, Var, vmean, vsum
 from tfdl.errors import NumericsError
+from tfdl.net import _ROW_BLOCK
 
 
 def _probe(rng, n=8, k=3):
@@ -244,3 +245,61 @@ def test_per_row_embedding_paths_unchanged():
     assert net._embed(P, Dual(t, np.ones(5)), 1.0).p.shape == (5, w)
     assert net._embed(P, t[:1], 1.0).shape == (1, w)
     assert net._embed(P, np.array([0.3, 0.4, 0.3]), 1.0).shape == (3, w)
+
+
+# -- plain forwards above one row block run block by block -------------------
+
+def _block_case(seed, n, constant):
+    net = _conditioned_net(seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    y = rng.integers(0, 3, n)
+    if constant:
+        return net, (x, np.full(n, 0.7), y, np.full(n, 4.5))
+    return net, (x, rng.uniform(0.05, 1.4, n), y, rng.uniform(0.0, 5.0, n))
+
+
+def _one_pass(net, args, collect_hidden=False):
+    return net._core(net.params, *net._prep(*args), collect_hidden=collect_hidden)
+
+
+@pytest.mark.parametrize("constant", [False, True])
+def test_blocked_forward_is_concatenation_of_blocks(constant):
+    b = _ROW_BLOCK
+    net, args = _block_case(30, 2 * b + 3, constant)
+    out, hidden = net.forward(*args, return_hidden=True)
+    parts = [net.forward(*(a[i:i + b] for a in args), return_hidden=True)
+             for i in (0, b, 2 * b)]
+    np.testing.assert_array_equal(out, np.concatenate([p[0] for p in parts]))
+    np.testing.assert_array_equal(net.forward(*args), out)
+    whole, whole_hidden = _one_pass(net, args, collect_hidden=True)
+    assert _rel(out, whole) <= 1e-12
+    assert len(hidden) == len(whole_hidden) == net.depth
+    for layer, h in enumerate(hidden):
+        np.testing.assert_array_equal(h, np.concatenate([p[1][layer] for p in parts]))
+        assert _rel(h, whole_hidden[layer]) <= 1e-12
+
+
+@pytest.mark.parametrize("constant", [False, True])
+def test_forward_of_one_block_is_one_pass(constant):
+    net, args = _block_case(31, _ROW_BLOCK, constant)
+    np.testing.assert_array_equal(net.forward(*args), _one_pass(net, args))
+
+
+@pytest.mark.parametrize("constant", [False, True])
+def test_traced_forward_above_one_block_is_one_pass(constant):
+    net, (x, t, y, cfg) = _block_case(32, _ROW_BLOCK + 40, constant)
+    rng = np.random.default_rng(32)
+    x_tan, t_tan = rng.standard_normal(x.shape), rng.standard_normal(t.shape)
+    p, tan = net.jvp(x, t, y, cfg, x_tan, t_tan)
+    whole = net._core(net.params, Dual(x, x_tan), Dual(t, t_tan), y, cfg)
+    np.testing.assert_array_equal(p, whole.p)
+    np.testing.assert_array_equal(tan, whole.t)
+    # a Dual input to forward itself also stays one pass
+    out = net.forward(Dual(x, x_tan), Dual(t, t_tan), y, cfg)
+    np.testing.assert_array_equal(out.p, whole.p)
+    np.testing.assert_array_equal(out.t, whole.t)
+    # and so does a tape forward over parameter leaves
+    leaves = net.params.as_vars()
+    tape = net.forward(x, t, y, cfg, params=leaves)
+    np.testing.assert_array_equal(tape.v, net._core(leaves, *net._prep(x, t, y, cfg)).v)

@@ -7,6 +7,7 @@ import tfdl
 from conftest import AnalyticGaussianFM
 from tfdl.errors import ConfigurationError
 from tfdl.metrics import sliced_w2
+from tfdl.net import _ROW_BLOCK
 from tfdl.sampler import StepSchedule, default_schedule, multistep_sample, search_timesteps
 from tfdl.schedule import HALF_PI
 from tfdl.trigflow import TrigFlowAdapter
@@ -142,33 +143,34 @@ def test_search_empty_grid_rejected():
 
 
 ORACLE_GRID = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4]
+ORACLE_N = _ROW_BLOCK + 100  # a VelocityNet pass crosses a row-block boundary
 
 
-def _analytic_case():
+def _analytic_case(n):
     adapter = TrigFlowAdapter(AnalyticGaussianFM(), sigma_d=1.0, teacher_cfg=True)
-    ref = np.random.default_rng(1).standard_normal((64, 2)) * 0.7 + 0.3
+    ref = np.random.default_rng(1).standard_normal((n, 2)) * 0.7 + 0.3
     return adapter, 0, lambda samples: sliced_w2(samples, ref, seed=3)
 
 
-def _velocity_net_case():
+def _velocity_net_case(n):
     net = tfdl.VelocityNet(2, width=16, depth=1, n_freq=8, seed=4)
-    labels = np.random.default_rng(2).integers(0, 2, 64)
+    labels = np.random.default_rng(2).integers(0, 2, n)
     return TrigFlowAdapter(net, 0.8), labels, _quadratic_metric(np.array([0.1, -0.2]))
 
 
 @pytest.mark.parametrize("make_case", [_analytic_case, _velocity_net_case])
 def test_search_table_equals_naive_rescoring(make_case):
     # every row must be exactly the score of sampling its full schedule afresh
-    adapter, y, metric = make_case()
+    adapter, y, metric = make_case(ORACLE_N)
     for steps in (1, 2, 3, 4):
-        sched, table = search_timesteps(adapter, metric, steps, ORACLE_GRID, 64, y, 2.0,
-                                        eval_seed=7)
+        sched, table = search_timesteps(adapter, metric, steps, ORACLE_GRID, ORACLE_N, y,
+                                        2.0, eval_seed=7)
         assert sched.steps == steps
         assert sorted({row[0] for row in table}) == list(range(steps))
         for k, c, score in table:
             cand = StepSchedule(sched.times[:k] + (c, 0.0))
             rng = np.random.default_rng(7)
-            assert score == metric(multistep_sample(adapter, cand, 64, y, 2.0, rng))
+            assert score == metric(multistep_sample(adapter, cand, ORACLE_N, y, 2.0, rng))
 
 
 def test_search_one_consistency_call_per_candidate():
@@ -249,7 +251,7 @@ def _unrestricted_greedy(adapter, metric, steps, grid, n, y, cfg, eval_seed):
 def test_search_feasibility_keeps_a_succeeding_schedule(make_case):
     # the feasibility filter only drops rows a successful walk never picks:
     # the schedule and the scores of every surviving row stay as they were
-    adapter, y, metric = make_case()
+    adapter, y, metric = make_case(64)
     expect_times, expect_rows = _unrestricted_greedy(adapter, metric, 4, ORACLE_GRID, 64, y,
                                                      2.0, eval_seed=7)
     sched, table = search_timesteps(adapter, metric, 4, ORACLE_GRID, 64, y, 2.0, eval_seed=7)
