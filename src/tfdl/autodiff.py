@@ -7,7 +7,9 @@ own transpose: elementwise rules scale by a diagonal Jacobian and softmax's
 Jacobian is symmetric, so those serve both directions. A linear entry omits
 its tangent rule, which is then the primal applied to the tangent. An entry
 may also give a forward that returns a residual for the rules (SiLU keeps its
-sigmoid); without one the residual is the output.
+sigmoid); without one the residual is the output. The plain primal and that
+forward compute the output with the same operations, so the three modes below
+give bit-identical values.
 
 Calling an entry interprets it in one of three modes, chosen by its arguments:
 
@@ -19,10 +21,18 @@ Calling an entry interprets it in one of three modes, chosen by its arguments:
   shape; ``backward()`` accumulates gradients by reverse topological order.
 
 Rules are called as ``rule(t, *primal_args, residual, *params)``: ``(t, x, r)``
-for a unary entry, ``(t, a, b, r)`` for a binary one, ``(ts, xs, r)`` for
-``cat``. Plain ndarrays mix freely with either type and are treated as
-constants, which is how stop-gradient and frozen-module semantics are
-expressed: a branch evaluated on raw arrays simply never enters the tape.
+for a unary entry, ``(t, a, b, r)`` for a binary one. An entry over a list of
+arguments (``Nary``) gets the whole list: its tangent rule ``(ts, xs, r)``
+finds ``None`` in ``ts`` for each constant argument, and its transpose
+``(g, xs, r, live)`` returns the gradients of the arguments indexed by
+``live`` only, so neither spends work on constants. ``cat`` is one such
+entry; ``attention`` is the other, the velocity net's whole attention block
+(projections, QK RMS norm, softmax, output projection) fused into one entry
+with a residual and hand-derived rules, so a block is one tape node.
+
+Plain ndarrays mix freely with either type and are treated as constants,
+which is how stop-gradient and frozen-module semantics are expressed: a
+branch evaluated on raw arrays simply never enters the tape.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ __all__ = [
     "Dual", "Var", "PRIMITIVES", "primal", "sin", "cos", "exp", "log", "sqrt",
     "tanh", "relu", "silu", "softmax", "neg", "power", "vsum", "vmean",
     "reshape", "swap_last", "take_rows", "add", "sub", "mul", "div", "matmul",
-    "cat",
+    "cat", "attention",
 ]
 
 PRIMITIVES = {}
@@ -161,25 +171,27 @@ def primal(x):
 # -- the three interpreters --------------------------------------------------
 
 class Prim:
-    """One table entry; see the module docstring for the rule conventions."""
-
-    def __init__(self, name, primal, jvp=None, vjp=None):
-        self.name, self.primal = name, primal
-        self.jvp = jvp or (lambda t, x, r, *params, **kw: primal(t, *params, **kw))
-        self.vjp = vjp or self.jvp
-        PRIMITIVES[name] = self
-
-
-class Unary(Prim):
-    """Entry with one differentiable argument plus static parameters.
+    """One table entry; see the module docstring for the rule conventions.
 
     ``fwd``, when given, returns (output, residual) for the tangent-carrying
     modes; plain arrays keep the primal, whose temporaries numpy can reuse.
     """
 
     def __init__(self, name, primal, jvp=None, vjp=None, fwd=None):
-        super().__init__(name, primal, jvp, vjp)
-        self.fwd = fwd
+        self.name, self.primal, self.fwd = name, primal, fwd
+        self.jvp = jvp or (lambda t, x, r, *params, **kw: primal(t, *params, **kw))
+        self.vjp = vjp or self.jvp
+        PRIMITIVES[name] = self
+
+    def _forward(self, *args, **kw):
+        if self.fwd is None:
+            y = self.primal(*args, **kw)
+            return y, y
+        return self.fwd(*args, **kw)
+
+
+class Unary(Prim):
+    """Entry with one differentiable argument plus static parameters."""
 
     def __call__(self, x, *params, **kw):
         if isinstance(x, Dual):
@@ -188,10 +200,7 @@ class Unary(Prim):
             xp = x.v
         else:
             return self.primal(x, *params, **kw)
-        if self.fwd is None:
-            y = r = self.primal(xp, *params, **kw)
-        else:
-            y, r = self.fwd(xp, *params, **kw)
+        y, r = self._forward(xp, *params, **kw)
         if isinstance(x, Dual):
             return Dual(y, self.jvp(x.t, xp, r, *params, **kw))
         vjp = self.vjp
@@ -225,26 +234,26 @@ class Binary(Prim):
 
 
 class Nary(Prim):
-    """Entry over a list of differentiable arguments."""
+    """Entry over a list of differentiable arguments.
+
+    Constant operands cost their rules nothing: the tangent list holds
+    ``None`` for each, and the transpose gets the indices ``live`` of the
+    operands that need a gradient and returns those gradients only.
+    """
 
     def __call__(self, xs, *params, **kw):
         if any(isinstance(x, Dual) for x in xs):
             ps = [x.p if isinstance(x, Dual) else np.asarray(x, dtype=np.float64) for x in xs]
-            ts = [x.t if isinstance(x, Dual) else np.zeros_like(p) for x, p in zip(xs, ps)]
-            y = self.primal(ps, *params, **kw)
-            return Dual(y, self.jvp(ts, ps, y, *params, **kw))
-        live = [i for i, x in enumerate(xs) if isinstance(x, Var)]
+            ts = [x.t if isinstance(x, Dual) else None for x in xs]
+            y, r = self._forward(ps, *params, **kw)
+            return Dual(y, self.jvp(ts, ps, r, *params, **kw))
+        live = tuple(i for i, x in enumerate(xs) if isinstance(x, Var))
         if not live:
             return self.primal(xs, *params, **kw)
         vals = [x.v if isinstance(x, Var) else np.asarray(x, dtype=np.float64) for x in xs]
-        y = self.primal(vals, *params, **kw)
+        y, r = self._forward(vals, *params, **kw)
         vjp = self.vjp
-
-        def back(g):
-            gs = vjp(g, vals, y, *params, **kw)
-            return tuple(gs[i] for i in live)
-
-        return Var(y, tuple(xs[i] for i in live), back)
+        return Var(y, tuple(xs[i] for i in live), lambda g: vjp(g, vals, r, live, *params, **kw))
 
 
 # -- the rule table ----------------------------------------------------------
@@ -311,13 +320,115 @@ def _mean_vjp(g, x, r, axis=None, keepdims=False):
 
 
 def _take_rows_vjp(g, x, r, idx):
-    out = np.zeros(x.shape)
-    np.add.at(out, idx, g)
-    return out
+    # scatter-add as one GEMM with the one-hot (rows, len(idx)) matrix of idx
+    idx = np.asarray(idx).ravel() % x.shape[0]
+    onehot = (idx == np.arange(x.shape[0])[:, None]).astype(np.float64)
+    return (onehot @ g.reshape(idx.size, -1)).reshape(x.shape)
 
 
-def _cat_vjp(g, xs, r, axis=-1):
-    return np.split(g, np.cumsum([x.shape[axis] for x in xs])[:-1], axis=axis)
+def _cat_jvp(ts, xs, r, axis=-1):
+    return np.concatenate([np.zeros_like(x) if t is None else t for t, x in zip(ts, xs)],
+                          axis=axis)
+
+
+def _cat_vjp(g, xs, r, live, axis=-1):
+    parts = np.split(g, np.cumsum([x.shape[axis] for x in xs])[:-1], axis=axis)
+    return [parts[i] for i in live]
+
+
+# -- the fused attention block -----------------------------------------------
+# One node per block over [h, wq, wk, wv, wo]: each row of h is n_tokens tokens
+# of width d. The projections are GEMMs over all B·n_tokens tokens at once, and
+# every reduction over a short axis is a GEMV, which numpy runs faster than a
+# reduction over a last axis only 8 or 16 wide.
+
+_RMS_EPS = 1e-30  # keeps 0/0 finite without breaking positive-scale invariance
+
+
+def _row_sums(a, scale=1.0):
+    """``scale`` times the sums over the last axis of ``a``, kept as an axis."""
+    n = a.shape[-1]
+    return (a.reshape(-1, n) @ np.full(n, scale)).reshape(a.shape[:-1] + (1,))
+
+
+def _rms_normalize(q):
+    """Scale the rows of ``q`` to unit RMS in place; return it and 1/RMS."""
+    r = (_row_sums(q * q, 1.0 / q.shape[1]) + _RMS_EPS) ** -0.5
+    q *= r
+    return q, r
+
+
+def _rms_rule(t, qn, r):
+    # Jacobian r·(I - qn qnᵀ/d) per token: symmetric, so it also transposes
+    return r * (t - qn * _row_sums(qn * t, 1.0 / qn.shape[1]))
+
+
+def _attn_softmax_rule(t, s):
+    # symmetric like _softmax_rule, with the sums as GEMVs
+    st = s * t
+    return st - s * _row_sums(st)
+
+
+def _attention_fwd(xs, n_tokens, qk_norm):
+    h, wq, wk, wv, wo = xs
+    x = h.reshape(len(h) * n_tokens, -1)
+    tokens = (len(h), n_tokens, x.shape[1])
+    q, k, v = x @ wq, x @ wk, x @ wv
+    rq = rk = None
+    if qk_norm:
+        q, rq = _rms_normalize(q)
+        k, rk = _rms_normalize(k)
+    q3, k3, v3 = q.reshape(tokens), k.reshape(tokens), v.reshape(tokens)
+    z = q3 @ _swap(k3)
+    z *= 1.0 / np.sqrt(x.shape[1])
+    if not qk_norm:
+        # shift by the largest of the row's n_tokens² logits (a query whose
+        # logits all lie ~700 below it would underflow); QK-normed logits lie
+        # within ±sqrt(d), so their exp can neither overflow nor vanish
+        z -= z.reshape(len(h), -1).max(axis=1)[:, None, None]
+    s = np.exp(z, out=z)
+    s /= _row_sums(s)
+    o = (s @ v3).reshape(x.shape)
+    return (o @ wo).reshape(h.shape), (x, q3, k3, v3, rq, rk, s, o)
+
+
+def _attention_jvp(ts, xs, res, n_tokens, qk_norm):
+    th, twq, twk, twv, two = ts
+    h, wq, wk, wv, wo = xs
+    x, q3, k3, v3, rq, rk, s, o = res
+    tx = np.zeros(x.shape) if th is None else th.reshape(x.shape)
+    tq, tk, tv = (tx @ w if tw is None else tx @ w + x @ tw
+                  for w, tw in ((wq, twq), (wk, twk), (wv, twv)))
+    if qk_norm:
+        tq = _rms_rule(tq, q3.reshape(x.shape), rq)
+        tk = _rms_rule(tk, k3.reshape(x.shape), rk)
+    tz = q3 @ _swap(tk.reshape(q3.shape))
+    tz += tq.reshape(q3.shape) @ _swap(k3)
+    tz *= 1.0 / np.sqrt(x.shape[1])
+    to = _attn_softmax_rule(tz, s) @ v3
+    to += s @ tv.reshape(v3.shape)
+    out = to.reshape(x.shape) @ wo
+    if two is not None:
+        out += o @ two
+    return out.reshape(h.shape)
+
+
+def _attention_vjp(g, xs, res, live, n_tokens, qk_norm):
+    h, wq, wk, wv, wo = xs
+    x, q3, k3, v3, rq, rk, s, o = res
+    g = g.reshape(o.shape)
+    go = (g @ wo.T).reshape(v3.shape)
+    gv = (_swap(s) @ go).reshape(x.shape)
+    gz = _attn_softmax_rule(go @ _swap(v3), s)
+    gz *= 1.0 / np.sqrt(x.shape[1])
+    gq = (gz @ k3).reshape(x.shape)
+    gk = (_swap(gz) @ q3).reshape(x.shape)
+    if qk_norm:
+        gq = _rms_rule(gq, q3.reshape(x.shape), rq)
+        gk = _rms_rule(gk, k3.reshape(x.shape), rk)
+    grads = (lambda: (gq @ wq.T + gk @ wk.T + gv @ wv.T).reshape(h.shape),
+             lambda: x.T @ gq, lambda: x.T @ gk, lambda: x.T @ gv, lambda: o.T @ g)
+    return [grads[i]() for i in live]
 
 
 sin = Unary("sin", np.sin, lambda t, x, r: t * np.cos(x))
@@ -345,4 +456,6 @@ div = Binary("div", np.true_divide, (lambda t, a, b, r: t / b,
                                      lambda t, a, b, r: -t * a / (b * b)))
 matmul = Binary("matmul", np.matmul, (lambda t, a, b, r: t @ b, lambda t, a, b, r: a @ t),
                 vjp=(lambda g, a, b, r: g @ _swap(b), lambda g, a, b, r: _swap(a) @ g))
-cat = Nary("cat", lambda xs, axis=-1: np.concatenate(xs, axis=axis), vjp=_cat_vjp)
+cat = Nary("cat", lambda xs, axis=-1: np.concatenate(xs, axis=axis), _cat_jvp, _cat_vjp)
+attention = Nary("attention", lambda xs, n_tokens, qk_norm: _attention_fwd(xs, n_tokens, qk_norm)[0],
+                 _attention_jvp, _attention_vjp, fwd=_attention_fwd)

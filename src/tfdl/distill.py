@@ -47,6 +47,10 @@ class DistillConfig:
     wphi_width: int = 32
 
     def __post_init__(self):
+        if self.iters < 1:
+            raise ValueError("iters must be at least 1")
+        if len(self.cfg_scales) == 0 or not np.all(np.isfinite(self.cfg_scales)):
+            raise ValueError("cfg_scales must be non-empty and finite")
         if self.lambda_adv < 0:
             raise ValueError("lambda_adv must be non-negative")
         if self.warmup_H < 1:

@@ -5,6 +5,8 @@ token reshaping of the hidden state. Time enters through a sinusoidal
 embedding of ``c_noise_scale * t``; the guidance scale enters through an
 embedding of ``0.1 * cfg`` added to the time embedding; class conditions come
 from a learned table with one reserved null row for the unconditional branch.
+The attention block is one table entry, ``autodiff.attention``, with its own
+forward, JVP and transpose, so a tape holds one node per block.
 When ``t`` or ``cfg`` holds one value for the whole batch (every sampling
 step, every distillation batch's guidance scale), its embedding is computed
 once per call as a single row that broadcasts over the batch.
@@ -28,11 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Dual, cat, primal, reshape, silu, sin, cos, softmax, swap_last, take_rows, vmean
+from .autodiff import Dual, attention, cat, primal, reshape, silu, sin, cos, take_rows
 from .errors import NumericsError
 from .optim import ParamVector
 
-_RMS_EPS = 1e-30  # keeps 0/0 finite without breaking positive-scale invariance
 _ROW_BLOCK = 512  # rows per block of a plain forward; keeps temporaries in L2
 
 
@@ -109,16 +110,8 @@ class VelocityNet:
     # -- shared forward ------------------------------------------------------
 
     def _attn(self, P, h):
-        tok = reshape(h, (-1, self.n_tokens, self.d_token))
-        q = tok @ P["attn_wq"]
-        k = tok @ P["attn_wk"]
-        v = tok @ P["attn_wv"]
-        if self.qk_norm:
-            q = q * (vmean(q * q, axis=-1, keepdims=True) + _RMS_EPS) ** -0.5
-            k = k * (vmean(k * k, axis=-1, keepdims=True) + _RMS_EPS) ** -0.5
-        logits = (q @ swap_last(k)) * (1.0 / np.sqrt(self.d_token))
-        o = softmax(logits, axis=-1) @ v
-        return reshape(o @ P["attn_wo"], (-1, self.width))
+        return attention([h, P["attn_wq"], P["attn_wk"], P["attn_wv"], P["attn_wo"]],
+                         n_tokens=self.n_tokens, qk_norm=self.qk_norm)
 
     @staticmethod
     def _embed(P, v, scale):

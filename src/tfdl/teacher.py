@@ -30,6 +30,8 @@ class TeacherConfig:
     log_every: int = 100
 
     def __post_init__(self):
+        if self.lr_decay not in ("cosine", "none"):
+            raise ValueError(f"lr_decay must be 'cosine' or 'none', not {self.lr_decay!r}")
         if not self.cfg_scales:
             raise ValueError("cfg_scales must be nonempty")
         if not 0.0 <= self.uncond_drop_prob <= 1.0:

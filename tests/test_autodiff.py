@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tfdl.autodiff import (PRIMITIVES, Binary, Dual, Nary, Unary, Var, cat, cos, exp, log,
+from tfdl.autodiff import (PRIMITIVES, Dual, Nary, Unary, Var, cat, cos, exp, log,
                            relu, reshape, silu, sin, softmax, sqrt, take_rows, tanh, vmean,
                            vsum)
 
@@ -136,9 +136,10 @@ def test_cat_splits_gradient():
 # -- per-primitive rule sweep -------------------------------------------------
 # Every entry of the rule table is checked on its own: the Dual tangent against
 # central differences, and <u, J v> (Dual) against <J^T u, v> (Var), with each
-# subset of arguments live and the others passed as constants. A new entry is
-# swept without new code here unless it needs static parameters (PARAMS) or a
-# positive domain (POSITIVE).
+# subset of arguments live and the others passed as constants. A new unary or
+# binary entry is swept without new code here unless it needs static
+# parameters (PARAMS) or a positive domain (POSITIVE); a new list entry adds
+# its cases to NARY_CASES.
 
 PARAMS = {
     "power": [(3.0,), (-0.5,)],
@@ -147,14 +148,19 @@ PARAMS = {
     "vmean": [{}, {"axis": 0}, {"axis": 1, "keepdims": True}],
     "reshape": [((-1,),), ((2, 6),), ((3, 4, 1),)],
     "take_rows": [(np.array([3, 0, 3, 1, 2]),)],
-    "cat": [{"axis": -1}, {"axis": 0}],
 }
 POSITIVE = {"log", "sqrt", "power"}
 BINARY_SHAPES = {
     "matmul": [((4, 3), (3, 2)), ((2, 4, 3), (3, 2)), ((4, 3), (2, 3, 2))],
 }
 ELEMENTWISE_SHAPES = [((4, 1), (1, 3)), ((3,), (2, 3)), ((2, 3), (3,)), ((2, 3), (2, 3))]
-CAT_SHAPES = {-1: [(4, 1), (4, 3), (4, 2)], 0: [(1, 3), (2, 3), (3, 3)]}
+# (static kwargs, operand shapes) per case of each list entry; attention runs
+# 3 rows of 4 tokens of width 3: h, then wq, wk, wv, wo
+NARY_CASES = {
+    "cat": [({"axis": -1}, [(4, 1), (4, 3), (4, 2)]), ({"axis": 0}, [(1, 3), (2, 3), (3, 3)])],
+    "attention": [({"n_tokens": 4, "qk_norm": qk_norm}, [(3, 12)] + [(3, 3)] * 4)
+                  for qk_norm in (True, False)],
+}
 
 
 def _operand(rng, shape, positive):
@@ -165,18 +171,19 @@ def _operand(rng, shape, positive):
 def _sweep_cases(name, prim):
     """(primal args, static args, static kwargs, live argument subsets) per case."""
     rng = np.random.default_rng(sorted(PRIMITIVES).index(name))
+    if isinstance(prim, Nary):
+        for kw, shapes in NARY_CASES[name]:
+            xs = [_operand(rng, s, False) for s in shapes]
+            yield xs, (), kw, [(i,) for i in range(len(xs))] + [tuple(range(len(xs)))]
+        return
     for static in PARAMS.get(name, [()]):
         args, kw = (static, {}) if isinstance(static, tuple) else ((), static)
         if isinstance(prim, Unary):
             yield [_operand(rng, (4, 3), name in POSITIVE)], args, kw, [(0,)]
-        elif isinstance(prim, Binary):
+        else:
             for sa, sb in BINARY_SHAPES.get(name, ELEMENTWISE_SHAPES):
                 xs = [_operand(rng, sa, False), _operand(rng, sb, False)]
                 yield xs, args, kw, [(0,), (1,), (0, 1)]
-        else:
-            shapes = CAT_SHAPES[kw["axis"]]
-            xs = [_operand(rng, s, False) for s in shapes]
-            yield xs, args, kw, [(i,) for i in range(len(xs))] + [tuple(range(len(xs)))]
 
 
 def _apply(prim, xs, args, kw):

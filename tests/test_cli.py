@@ -77,6 +77,23 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     assert "eval_seeed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("teacher", "lr_decay", "foo"),
+    ("distill", "iters", 0),
+    ("distill", "cfg_scales", []),
+    ("distill", "cfg_scales", [4.0, float("nan")]),
+])
+def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):
+    d = json.loads(RunConfig().to_json())
+    d[section][key] = value
+    d["out_dir"] = str(tmp_path / "out")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert cli(["plot", "--config", str(bad)]) == 3
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_deterministic(run_dir):
     root, cfg_path = run_dir
     out = root / "out"

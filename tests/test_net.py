@@ -1,10 +1,12 @@
 """Velocity-network contracts: determinism, JVP, QK-norm, time embedding."""
 
+import functools
+
 import numpy as np
 import pytest
 
 import tfdl
-from tfdl.autodiff import Dual, Var, vmean, vsum
+from tfdl.autodiff import _RMS_EPS, Dual, Var, reshape, softmax, swap_last, vmean, vsum
 from tfdl.errors import NumericsError
 from tfdl.net import _ROW_BLOCK
 
@@ -303,3 +305,44 @@ def test_traced_forward_above_one_block_is_one_pass(constant):
     leaves = net.params.as_vars()
     tape = net.forward(x, t, y, cfg, params=leaves)
     np.testing.assert_array_equal(tape.v, net._core(leaves, *net._prep(x, t, y, cfg)).v)
+
+
+# -- the fused attention entry against the composed block it replaced --------
+
+def _composed_attn(net, P, h):
+    """The attention block built from separate table entries: the oracle."""
+    tok = reshape(h, (-1, net.n_tokens, net.d_token))
+    q = tok @ P["attn_wq"]
+    k = tok @ P["attn_wk"]
+    v = tok @ P["attn_wv"]
+    if net.qk_norm:
+        q = q * (vmean(q * q, axis=-1, keepdims=True) + _RMS_EPS) ** -0.5
+        k = k * (vmean(k * k, axis=-1, keepdims=True) + _RMS_EPS) ** -0.5
+    logits = (q @ swap_last(k)) * (1.0 / np.sqrt(net.d_token))
+    o = softmax(logits, axis=-1) @ v
+    return reshape(o @ P["attn_wo"], (-1, net.width))
+
+
+@pytest.mark.parametrize("qk_norm", [True, False])
+@pytest.mark.parametrize("n", [96, 2 * _ROW_BLOCK + 3])
+def test_fused_attention_matches_composed_block(n, qk_norm):
+    net = tfdl.VelocityNet(3, seed=40, qk_norm=qk_norm, zero_out=False)
+    rng = np.random.default_rng(40)
+    net.params["attn_wo"] = rng.standard_normal(net.params.shapes["attn_wo"])
+    x, t, y, cfg = _probe(rng, n=n)
+    x_tan, t_tan = rng.standard_normal(x.shape), rng.standard_normal(t.shape)
+    u = rng.standard_normal((n, 2))
+
+    def outputs():
+        _, tan = net.jvp(x, t, y, cfg, x_tan, t_tan)
+        _, grad = net.value_and_grad(lambda P: vsum(net.forward(x, t, y, cfg, params=P) * u))
+        return net.forward(x, t, y, cfg), tan, grad
+
+    fused = outputs()
+    net._attn = functools.partial(_composed_attn, net)
+    oracle = outputs()
+    for a, b in zip(fused, oracle):
+        assert _rel(a, b) <= 1e-12
+    for name in ("attn_wq", "attn_wk", "attn_wv", "attn_wo"):
+        sl = net.params.slices[name]
+        assert _rel(fused[2][sl], oracle[2][sl]) <= 1e-12
