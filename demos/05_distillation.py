@@ -27,7 +27,7 @@ net, _ = tfdl.train_teacher(net, ds, tfdl.TeacherConfig(), np.random.default_rng
 print("teacher ready")
 
 config = tfdl.DistillConfig()          # 4000 alternating steps, lambda = 0.5
-state, rows = tfdl.distill(net, ds, config, np.random.default_rng(2), seed=3)
+state, rows = tfdl.run_distill(net, ds, config, np.random.default_rng(2), seed=3)
 header = ["iter", "scm_loss", "adv_g", "adv_d", "grad_norm", "r", "t_mean"]
 write_csv(os.path.join(OUT, "distill_metrics.csv"), header,
           [[r[h] for h in header] for r in rows])

@@ -24,7 +24,8 @@ CFG_SCALE = 4.5
 ds = tfdl.generate("gauss-mix", 20000, seed=0)
 net = tfdl.VelocityNet(ds.n_classes, seed=1)
 net, _ = tfdl.train_teacher(net, ds, tfdl.TeacherConfig(), np.random.default_rng(1))
-state, _ = tfdl.distill(net, ds, tfdl.DistillConfig(), np.random.default_rng(2), seed=3)
+state, _ = tfdl.run_distill(net, ds, tfdl.DistillConfig(), np.random.default_rng(2),
+                            seed=3)
 print("student ready")
 
 eval_rng = np.random.default_rng(11)

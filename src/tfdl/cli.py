@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import runio
-from .distill import distill
+from .distill import run_distill
 from .errors import ConfigurationError
 from .metrics import evaluate
 from .sampler import default_schedule, multistep_sample, search_timesteps
@@ -66,14 +66,14 @@ def cmd_distill(cfg, args):
     every = max(1, cfg.distill.iters // 4)
 
     def on_step(state, row):
-        k = state.iters_done // 2
+        k = state.step
         if k % every == 0:
             runio.save_net(os.path.join(out, f"student_{k:06d}.ckpt"),
                            state.student.inner,
                            {"sigma_d": ds.sigma_d, "role": "student"})
 
-    state, rows = distill(teacher_net, ds, cfg.distill, rng,
-                          seed=cfg.distill_seed, on_step=on_step)
+    state, rows = run_distill(teacher_net, ds, cfg.distill, rng,
+                              seed=cfg.distill_seed, on_step=on_step)
     runio.save_net(os.path.join(out, "student.ckpt"), state.student.inner,
                    {"sigma_d": ds.sigma_d, "role": "student"})
     header = ["iter", "scm_loss", "adv_g", "adv_d", "grad_norm", "r", "t_mean"]

@@ -9,6 +9,12 @@ One training step alternates a discriminator update and a generator update:
   a ramp r and normalized per sample to ||g||/(||g||+c)), plus an adaptive
   log-variance weight head on t, plus the hinge generator term.
 
+A phase is draws, then a target, then pure objectives. ``draw`` makes every
+random draw of a phase into one ``StepDraws``; ``scm_target`` evaluates the
+stop-gradient target (g, f_sg) once; ``disc_objective``, ``scm_objective`` and
+``adv_objective`` are deterministic in (state, draws[, target]), on the tape
+when given Var leaves. The step and the public losses share these objectives.
+
 Stop-gradient and frozen-module semantics are structural: those branches are
 evaluated on plain arrays and never enter the reverse-mode tape.
 """
@@ -22,7 +28,7 @@ import numpy as np
 from .autodiff import Dual, exp as vexp, primal, relu, reshape, silu, vmean, vsum
 from .errors import DomainError, NumericsError, TrainingDivergence
 from .optim import Adam, ParamVector
-from .schedule import HALF_PI, TimestepDistribution, sample_t
+from .schedule import HALF_PI, TimestepDistribution, mix_max_time, sample_t
 from .toydata import batch_arrays, minibatch_arrays
 from .trigflow import TrigFlowAdapter
 
@@ -112,7 +118,7 @@ class DistillState:
 
     ``student_stopgrad`` is the same adapter evaluated outside the tape: it is
     numerically identical to the student at all times and contributes no
-    gradient.
+    gradient. ``step`` counts completed alternating steps.
     """
 
     student: TrigFlowAdapter
@@ -124,7 +130,7 @@ class DistillState:
     opt_student: Adam
     opt_wphi: Adam
     opt_heads: Adam
-    iters_done: int = 0
+    step: int = 0
 
     @property
     def student_stopgrad(self):
@@ -149,6 +155,40 @@ def init_distill(teacher_net, ds, config, seed=0):
     )
 
 
+# -- draws -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StepDraws:
+    """One phase's batch and draws: consistency time t, its max-time mix t_gan
+    and the discriminator time s (both None for a non-adversarial draw)."""
+
+    x0: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    t: np.ndarray
+    cfg: float
+    t_gan: np.ndarray | None = None
+    s: np.ndarray | None = None
+
+
+def draw(state, batch, rng, cfg_scales, adversarial=True):
+    """Draw z, the base t and cfg, then (adversarial) t_gan and s for a batch."""
+    x0, y = batch_arrays(batch)
+    b = len(x0)
+    z = state.student.sigma_d * rng.standard_normal((b, DATA_DIM))
+    t = sample_t(replace(state.gen_tdist, max_time_prob=0.0), rng, b)
+    cfg = float(rng.choice(cfg_scales))
+    if not adversarial:
+        return StepDraws(x0, y, z, t, cfg)
+    t_gan = mix_max_time(t, state.gen_tdist.max_time_prob, rng)
+    return StepDraws(x0, y, z, t, cfg, t_gan, sample_t(state.disc_tdist, rng, b))
+
+
+def _perturb(x0, z, t):
+    """Trig-schedule noisy point cos(t) x0 + sin(t) z, one time per row."""
+    return np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
+
+
 # -- consistency branch ------------------------------------------------------
 
 def _tangent_and_value(state, x_t, t, y, cfg, r, tangent_c):
@@ -161,50 +201,29 @@ def _tangent_and_value(state, x_t, t, y, cfg, r, tangent_c):
         raise NumericsError("non-finite JVP in consistency tangent")
     ct, st = np.cos(t)[:, None], np.sin(t)[:, None]
     g = -ct * ct * (sd * f_sg - dxdt) - r * ct * st * (x_t + sd * df_dt)
-    norm = np.linalg.norm(g, axis=1, keepdims=True)
-    g = g / (norm + tangent_c)
-    return g, f_sg
+    return g / (np.linalg.norm(g, axis=1, keepdims=True) + tangent_c), f_sg
 
 
 def scm_tangent(state, x_t, t, y, cfg, r, tangent_c=0.1):
     """Per-sample normalized tangent target for the consistency loss."""
-    t = np.asarray(t, dtype=np.float64)
-    return _tangent_and_value(state, np.asarray(x_t, dtype=np.float64), t,
-                              np.asarray(y), cfg, r, tangent_c)[0]
+    x_t, t = np.asarray(x_t, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    return _tangent_and_value(state, x_t, t, np.asarray(y), cfg, r, tangent_c)[0]
 
 
-def _scm_objective(state, x_t, t, y, cfg, g, f_sg, student_leaves, wphi_leaves):
-    """Tape-mode consistency loss; g and f_sg enter as constants."""
-    f_live = state.student.velocity(x_t, t, y, cfg=cfg, params=student_leaves)
-    w = state.wphi.forward(t, params=wphi_leaves)
+def scm_target(state, d, r, tangent_c):
+    """Stop-gradient target (g, f_sg) of the consistency loss at draws ``d``."""
+    return _tangent_and_value(state, _perturb(d.x0, d.z, d.t), d.t, d.y, d.cfg, r, tangent_c)
+
+
+def scm_objective(state, d, target, student_leaves=None, wphi_leaves=None):
+    """Consistency loss at draws ``d``; the target (g, f_sg) enters as a constant."""
+    g, f_sg = target
+    f_live = state.student.velocity(_perturb(d.x0, d.z, d.t), d.t, d.y, cfg=d.cfg,
+                                    params=student_leaves)
+    w = state.wphi.forward(d.t, params=wphi_leaves)
     resid = f_live - (f_sg + g)
     per = vexp(w) * (1.0 / DATA_DIM) * vsum(resid * resid, axis=1) - w
     return vmean(per)
-
-
-def _draw_gen_batch(state, x0, rng, cfg_scales):
-    b = len(x0)
-    z = state.student.sigma_d * rng.standard_normal((b, 2))
-    t = sample_t(replace(state.gen_tdist, max_time_prob=0.0), rng, b)
-    cfg = float(rng.choice(cfg_scales))
-    return z, t, cfg
-
-
-def _perturb(x0, z, t):
-    """Trig-schedule noisy point cos(t) x0 + sin(t) z, one time per row."""
-    return np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
-
-
-def scm_loss(state, batch, rng, r=1.0, tangent_c=0.1, cfg_scales=(4.0, 4.5, 5.0)):
-    """Value of the consistency loss on a fresh draw (no adversarial term)."""
-    x0, y = batch_arrays(batch)
-    z, t, cfg = _draw_gen_batch(state, x0, rng, cfg_scales)
-    x_t = _perturb(x0, z, t)
-    g, f_sg = _tangent_and_value(state, x_t, t, y, cfg, r, tangent_c)
-    f_live = np.asarray(state.student.velocity(x_t, t, y, cfg=cfg))
-    w = np.asarray(state.wphi.forward(t))
-    per = np.exp(w) / DATA_DIM * np.sum((f_live - f_sg - g) ** 2, axis=1) - w
-    return float(np.mean(per))
 
 
 def one_step_generate(state, x_t, t, y, cfg=None):
@@ -233,72 +252,61 @@ def hinge_gen(fake_scores):
     return loss
 
 
-def _mix_max_time(t, p, rng):
-    if p <= 0:
-        return t
-    xi = rng.uniform(0.0, 1.0, len(t))
-    return np.where(xi < p, HALF_PI, t)
+def _fake_clean(state, d, student_leaves=None):
+    """Generated clean points from data renoised to t_gan; tape-mode iff leaves given."""
+    return state.student.consistency(_perturb(d.x0, d.z, d.t_gan), d.t_gan, d.y,
+                                     cfg=d.cfg, params=student_leaves)
 
 
-def _fake_clean(state, x0, y, z, t, cfg, student_leaves=None):
-    """Generated clean points from renoised data; tape-mode iff leaves given."""
-    return state.student.consistency(_perturb(x0, z, t), t, y, cfg=cfg, params=student_leaves)
-
-
-def disc_loss(state, batch, rng, cfg_scales=(4.0, 4.5, 5.0), head_leaves=None):
+def disc_objective(state, d, head_leaves=None):
     """Hinge discriminator loss on frozen-teacher features (real vs fake)."""
-    x0, y = batch_arrays(batch)
-    z, t, cfg = _draw_gen_batch(state, x0, rng, cfg_scales)
-    t = _mix_max_time(t, state.gen_tdist.max_time_prob, rng)
-    xhat0 = np.asarray(_fake_clean(state, x0, y, z, t, cfg))
-    s = sample_t(state.disc_tdist, rng, len(x0))
+    xhat0 = np.asarray(_fake_clean(state, d))
     # one doubled teacher pass covers both the real and the generated batch
-    both = state.teacher.features(np.concatenate([_perturb(x0, z, s), _perturb(xhat0, z, s)]),
-                                  np.concatenate([s, s]), np.concatenate([y, y]))
-    n = len(x0)
-    real_feats = [f[:n] for f in both]
-    fake_feats = [f[n:] for f in both]
-    loss = hinge_disc(state.heads.scores(real_feats, params=head_leaves),
-                      state.heads.scores(fake_feats, params=head_leaves))
-    return loss if head_leaves is not None else float(np.asarray(loss))
+    both = state.teacher.features(
+        np.concatenate([_perturb(d.x0, d.z, d.s), _perturb(xhat0, d.z, d.s)]),
+        np.concatenate([d.s, d.s]), np.concatenate([d.y, d.y]))
+    n = len(d.x0)
+    return hinge_disc(state.heads.scores([f[:n] for f in both], params=head_leaves),
+                      state.heads.scores([f[n:] for f in both], params=head_leaves))
 
 
-def gen_adv_loss(state, batch, rng, cfg_scales=(4.0, 4.5, 5.0), student_leaves=None):
+def adv_objective(state, d, student_leaves=None):
     """Generator hinge term: negative mean head score on generated points."""
-    x0, y = batch_arrays(batch)
-    z, t, cfg = _draw_gen_batch(state, x0, rng, cfg_scales)
-    t = _mix_max_time(t, state.gen_tdist.max_time_prob, rng)
-    xhat0 = _fake_clean(state, x0, y, z, t, cfg, student_leaves=student_leaves)
-    s = sample_t(state.disc_tdist, rng, len(x0))
-    fake_feats = state.teacher.features(_perturb(xhat0, z, s), s, y)
-    loss = hinge_gen(state.heads.scores(fake_feats))
-    return loss if student_leaves is not None else float(np.asarray(loss))
+    xhat0 = _fake_clean(state, d, student_leaves)
+    return hinge_gen(state.heads.scores(state.teacher.features(_perturb(xhat0, d.z, d.s),
+                                                               d.s, d.y)))
+
+
+def scm_loss(state, batch, rng, r=1.0, tangent_c=0.1, cfg_scales=(4.0, 4.5, 5.0)):
+    """Value of the consistency loss on a fresh draw (no adversarial term)."""
+    d = draw(state, batch, rng, cfg_scales, adversarial=False)
+    return float(scm_objective(state, d, scm_target(state, d, r, tangent_c)))
+
+
+def disc_loss(state, batch, rng, cfg_scales=(4.0, 4.5, 5.0)):
+    """Hinge discriminator loss on a fresh draw."""
+    return float(disc_objective(state, draw(state, batch, rng, cfg_scales)))
+
+
+def gen_adv_loss(state, batch, rng, cfg_scales=(4.0, 4.5, 5.0)):
+    """Generator hinge term on a fresh draw."""
+    return float(adv_objective(state, draw(state, batch, rng, cfg_scales)))
 
 
 # -- alternating step --------------------------------------------------------
 
-def _generator_objective(state, config, r, x0, y, z, t, t_gan, s, cfg,
-                         student_leaves, wphi_leaves, g=None, f_sg=None):
-    """Combined generator loss as a deterministic function of the draws.
+def _generator_objective(state, config, d, target, student_leaves=None, wphi_leaves=None):
+    """(total, consistency, adversarial) generator loss at draws ``d``.
 
-    With Var leaves this builds the tape; with plain parameter views it
-    evaluates the same number, which is how the finite-difference checks of
-    the stop-gradient contract probe it. ``g``/``f_sg`` may be passed
-    precomputed to hold the stop-gradient branch fixed.
+    With Var leaves this builds the tape; with plain parameters it evaluates
+    the same number, which is how the stop-gradient contract is probed.
     """
-    total = 0.0
-    scm_val = adv_val = 0.0
+    total = scm_val = adv_val = 0.0
     if config.use_scm:
-        x_t = _perturb(x0, z, t)
-        if g is None:
-            g, f_sg = _tangent_and_value(state, x_t, t, y, cfg, r, config.tangent_c)
-        total = _scm_objective(state, x_t, t, y, cfg, g, f_sg,
-                               student_leaves, wphi_leaves)
+        total = scm_objective(state, d, target, student_leaves, wphi_leaves)
         scm_val = float(primal(total))
     if config.lambda_adv > 0:
-        xhat0 = _fake_clean(state, x0, y, z, t_gan, cfg, student_leaves=student_leaves)
-        fake_feats = state.teacher.features(_perturb(xhat0, z, s), s, y)
-        adv = hinge_gen(state.heads.scores(fake_feats))
+        adv = adv_objective(state, d, student_leaves)
         adv_val = float(primal(adv))
         total = total + config.lambda_adv * adv
     return total, scm_val, adv_val
@@ -306,34 +314,26 @@ def _generator_objective(state, config, r, x0, y, z, t, t_gan, s, cfg,
 
 def distill_step(state, config, ds, rng):
     """One discriminator update followed by one generator update."""
-    metrics = {"iter": state.iters_done, "adv_d": 0.0}
-
-    if config.lambda_adv > 0:
-        batch = minibatch_arrays(ds, config.batch, rng)
-        head_leaves = state.heads.params.as_vars()
-        try:
-            d_obj = disc_loss(state, batch, rng, config.cfg_scales, head_leaves=head_leaves)
+    adversarial = config.lambda_adv > 0
+    r = min(1.0, (2 * state.step + 1) / config.warmup_H)
+    metrics = {"iter": state.step, "adv_d": 0.0}
+    try:
+        if adversarial:
+            d = draw(state, minibatch_arrays(ds, config.batch, rng), rng, config.cfg_scales)
+            head_leaves = state.heads.params.as_vars()
+            d_obj = disc_objective(state, d, head_leaves)
             d_obj.backward()
             state.opt_heads.step(state.heads.params.flat,
                                  state.heads.params.gradient_from(head_leaves))
-        except NumericsError as exc:
-            raise TrainingDivergence(state.iters_done, str(exc)) from exc
-        metrics["adv_d"] = float(d_obj.v)
-    state.iters_done += 1
+            metrics["adv_d"] = float(d_obj.v)
 
-    r = min(1.0, state.iters_done / config.warmup_H)
-    x0, y = minibatch_arrays(ds, config.batch, rng)
-    z, t, cfg = _draw_gen_batch(state, x0, rng, config.cfg_scales)
-    t_gan = s = None
-    if config.lambda_adv > 0:
-        t_gan = _mix_max_time(t, state.gen_tdist.max_time_prob, rng)
-        s = sample_t(state.disc_tdist, rng, config.batch)
-
-    student_leaves = state.student.inner.params.as_vars()
-    wphi_leaves = state.wphi.params.as_vars()
-    try:
-        total, scm_val, adv_val = _generator_objective(
-            state, config, r, x0, y, z, t, t_gan, s, cfg, student_leaves, wphi_leaves)
+        d = draw(state, minibatch_arrays(ds, config.batch, rng), rng, config.cfg_scales,
+                 adversarial)
+        target = scm_target(state, d, r, config.tangent_c) if config.use_scm else None
+        student_leaves = state.student.inner.params.as_vars()
+        wphi_leaves = state.wphi.params.as_vars()
+        total, scm_val, adv_val = _generator_objective(state, config, d, target,
+                                                       student_leaves, wphi_leaves)
         total.backward()
         g_student = state.student.inner.params.gradient_from(student_leaves)
         state.opt_student.step(state.student.inner.params.flat, g_student)
@@ -341,22 +341,21 @@ def distill_step(state, config, ds, rng):
             state.opt_wphi.step(state.wphi.params.flat,
                                 state.wphi.params.gradient_from(wphi_leaves))
     except NumericsError as exc:
-        raise TrainingDivergence(state.iters_done, str(exc)) from exc
-    state.iters_done += 1
+        raise TrainingDivergence(state.step, str(exc)) from exc
+    state.step += 1
 
     metrics.update({"scm_loss": scm_val, "adv_g": adv_val,
                     "grad_norm": float(np.linalg.norm(g_student)),
-                    "r": r, "t_mean": float(np.mean(t))})
+                    "r": r, "t_mean": float(np.mean(d.t))})
     return metrics
 
 
-def distill(teacher_net, ds, config, rng, seed=0, on_step=None):
+def run_distill(teacher_net, ds, config, rng, seed=0, on_step=None):
     """Run the full alternating loop; returns (state, metric rows)."""
     state = init_distill(teacher_net, ds, config, seed=seed)
     rows = []
     for _ in range(config.iters):
-        row = distill_step(state, config, ds, rng)
-        rows.append(row)
+        rows.append(distill_step(state, config, ds, rng))
         if on_step is not None:
-            on_step(state, row)
+            on_step(state, rows[-1])
     return state, rows

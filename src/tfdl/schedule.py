@@ -93,14 +93,20 @@ class TimestepDistribution:
                                     self.max_time_prob)
 
 
+def mix_max_time(t, p, rng):
+    """Move each time to pi/2 with probability p, one uniform draw per time."""
+    if p <= 0:
+        return t
+    xi = rng.uniform(0.0, 1.0, len(t))
+    return np.where(xi < p, HALF_PI, t)
+
+
 def sample_t(dist, rng, size=None):
     """Draw training timesteps in (0, pi/2]."""
     if dist.sigma_d is None:
         raise ValueError("timestep distribution needs sigma_d before sampling")
     n = 1 if size is None else size
     tau = rng.normal(dist.p_mean, dist.p_std, n)
-    t = np.arctan(np.exp(tau) / dist.sigma_d)
-    if dist.max_time_prob > 0:
-        xi = rng.uniform(0.0, 1.0, n)
-        t = np.where(xi < dist.max_time_prob, HALF_PI, t)
+    t = mix_max_time(np.arctan(np.exp(tau) / dist.sigma_d), dist.max_time_prob, rng)
     return float(t[0]) if size is None else t
+

@@ -18,14 +18,6 @@ DATASET_NAMES = ("gauss-mix", "two-moons", "checkerboard")
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One clean point and its class condition."""
-
-    x0: np.ndarray
-    y: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     name: str
     points: np.ndarray          # (n, 2)
@@ -92,14 +84,8 @@ def generate(name, n, seed, components=3, comp_std=0.3, radius=2.0,
     return Dataset(name, pts, labels.astype(np.int64), sigma_d, k)
 
 
-def minibatch(ds, b, rng):
-    """Uniform with-replacement batch of ``Sample``s."""
-    x0, y = minibatch_arrays(ds, b, rng)
-    return [Sample(x0[i], int(y[i])) for i in range(b)]
-
-
 def minibatch_arrays(ds, b, rng):
-    """Array form of ``minibatch``: (x0 of shape (b, 2), labels of shape (b,))."""
+    """Uniform with-replacement batch: x0 of shape (b, 2), labels of shape (b,)."""
     if b < 1:
         raise ValueError("batch size must be at least 1")
     if len(ds) == 0:
@@ -109,12 +95,9 @@ def minibatch_arrays(ds, b, rng):
 
 
 def batch_arrays(batch):
-    """Coerce either (x0, y) arrays or a list of Samples to array form."""
-    if isinstance(batch, tuple):
-        return np.asarray(batch[0], dtype=np.float64), np.asarray(batch[1], dtype=np.int64)
-    x0 = np.stack([s.x0 for s in batch])
-    y = np.asarray([s.y for s in batch], dtype=np.int64)
-    return x0, y
+    """An (x0, y) batch as float64 points and int64 labels."""
+    x0, y = batch
+    return np.asarray(x0, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
 
 def dump_csv(ds, path):

@@ -94,5 +94,5 @@ def tiny_state(gauss_ds, teacher):
     net, _ = teacher
     cfg = tfdl.DistillConfig(iters=5, batch=32)
     rng = np.random.default_rng(9)
-    state, _ = tfdl.distill(net, gauss_ds, cfg, rng, seed=5)
+    state, _ = tfdl.run_distill(net, gauss_ds, cfg, rng, seed=5)
     return state, cfg

@@ -14,8 +14,8 @@ import pytest
 
 import tfdl
 from conftest import AnalyticGaussianFM
-from tfdl.distill import (_draw_gen_batch, _generator_objective,
-                          _tangent_and_value, init_distill)
+from tfdl.distill import (_generator_objective, _tangent_and_value, draw,
+                          init_distill, scm_target)
 from tfdl.metrics import sliced_w2
 from tfdl.optim import Adam
 from tfdl.sampler import StepSchedule, default_schedule, multistep_sample, search_timesteps
@@ -47,8 +47,8 @@ def _e2e_run(gauss_ds, seed, net=None):
         net, _ = tfdl.train_teacher(net, gauss_ds, tfdl.TeacherConfig(),
                                     np.random.default_rng(seed + 1))
     cfg = tfdl.DistillConfig()
-    state, _ = tfdl.distill(net, gauss_ds, cfg, np.random.default_rng(seed + 11),
-                            seed=seed + 21)
+    state, _ = tfdl.run_distill(net, gauss_ds, cfg, np.random.default_rng(seed + 11),
+                                seed=seed + 21)
     return net, state
 
 
@@ -186,27 +186,18 @@ def test_criterion_08_stop_gradient_and_frozen_contracts(gauss_ds, teacher):
     for _ in range(3):
         tfdl.distill_step(state, config, gauss_ds, step_rng)
 
+    # batch, then z, t, cfg, the max-time mix t_gan (p = 0.5) and s
     rng = np.random.default_rng(9)
-    x0, y = minibatch_arrays(gauss_ds, 12, rng)
-    z, t, cfg = _draw_gen_batch(state, x0, rng, config.cfg_scales)
-    t_gan = np.where(rng.uniform(0, 1, 12) < 0.5, HALF_PI, t)
-    s = sample_t(state.disc_tdist, rng, 12)
-    r = 0.9
-    x_t = np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
-    g, f_sg = _tangent_and_value(state, x_t, t, y, cfg, r, config.tangent_c)
+    d = draw(state, minibatch_arrays(gauss_ds, 12, rng), rng, config.cfg_scales)
+    target = scm_target(state, d, 0.9, config.tangent_c)
 
     sp, wp = state.student.inner.params, state.wphi.params
 
     def live_value():
-        P_s = {n: sp[n] for n in sp.names}
-        P_w = {n: wp[n] for n in wp.names}
-        total, _, _ = _generator_objective(state, config, r, x0, y, z, t, t_gan,
-                                           s, cfg, P_s, P_w, g=g, f_sg=f_sg)
-        return float(np.asarray(total))
+        return float(_generator_objective(state, config, d, target)[0])
 
     leaves_s, leaves_w = sp.as_vars(), wp.as_vars()
-    total, _, _ = _generator_objective(state, config, r, x0, y, z, t, t_gan,
-                                       s, cfg, leaves_s, leaves_w, g=g, f_sg=f_sg)
+    total, _, _ = _generator_objective(state, config, d, target, leaves_s, leaves_w)
     total.backward()
     grads = {"student": (sp, sp.gradient_from(leaves_s)),
              "wphi": (wp, wp.gradient_from(leaves_w))}
@@ -308,8 +299,8 @@ def test_criterion_12_ablation_direction(gauss_ds, e2e_runs):
         finals["hybrid"].append(_student_w2(gauss_ds, hybrid_state, 2, ref, y))
         for tag, kw in (("scm", {"lambda_adv": 0.0}), ("gan", {"use_scm": False})):
             cfg = tfdl.DistillConfig(**kw)
-            state, _ = tfdl.distill(net, gauss_ds, cfg, np.random.default_rng(seed + 11),
-                                    seed=seed + 21)
+            state, _ = tfdl.run_distill(net, gauss_ds, cfg, np.random.default_rng(seed + 11),
+                                        seed=seed + 21)
             finals[tag].append(_student_w2(gauss_ds, state, 2, ref, y))
     med = {k: float(np.median(v)) for k, v in finals.items()}
     assert med["hybrid"] <= med["scm"]

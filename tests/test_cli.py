@@ -48,6 +48,10 @@ def test_metrics_csv_has_expected_header(run_dir):
     lines = (root / "out" / "distill_metrics.csv").read_text().splitlines()
     assert lines[0] == "iter,scm_loss,adv_g,adv_d,grad_norm,r,t_mean"
     assert len(lines) == 9  # one row per step
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(8))
+    # a checkpoint every quarter of the run, named by completed steps
+    for k in (2, 4, 6, 8):
+        assert (root / "out" / f"student_{k:06d}.ckpt").exists()
 
 
 def test_missing_checkpoint_exits_3(run_dir, capsys):

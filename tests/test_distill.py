@@ -1,16 +1,17 @@
 """Distillation-loop contracts: tangents, stop-gradient, hinge losses, warmup."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import tfdl
 from conftest import AnalyticGaussianFM
-from tfdl.distill import (DistillConfig, _draw_gen_batch, _generator_objective,
-                          _scm_objective, _tangent_and_value, hinge_disc,
+from tfdl.distill import (DistillConfig, _generator_objective, draw, hinge_disc,
                           hinge_gen, init_distill, one_step_generate,
-                          scm_tangent)
-from tfdl.errors import DomainError
-from tfdl.schedule import HALF_PI, TimestepDistribution
+                          scm_objective, scm_target, scm_tangent)
+from tfdl.errors import DomainError, TrainingDivergence
+from tfdl.schedule import HALF_PI, TimestepDistribution, mix_max_time
 from tfdl.toydata import minibatch_arrays
 from tfdl.trigflow import TrigFlowAdapter
 
@@ -95,15 +96,12 @@ def test_scm_loss_with_equal_params_and_zero_tangent(gauss_ds, tiny_state):
     # squared term vanishes, leaving -mean w(t)
     state, _ = tiny_state
     rng = np.random.default_rng(9)
-    x0, y = minibatch_arrays(gauss_ds, 32, rng)
-    z, t, cfg = _draw_gen_batch(state, x0, rng, (4.5,))
-    x_t = np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
-    f = np.asarray(state.student.velocity(x_t, t, y, cfg=cfg))
-    P_s = {n: state.student.inner.params[n] for n in state.student.inner.params.names}
-    P_w = {n: state.wphi.params[n] for n in state.wphi.params.names}
-    loss = _scm_objective(state, x_t, t, y, cfg, np.zeros_like(f), f, P_s, P_w)
-    w = np.asarray(state.wphi.forward(t))
-    assert float(np.asarray(loss)) == pytest.approx(-float(np.mean(w)), abs=1e-12)
+    d = draw(state, minibatch_arrays(gauss_ds, 32, rng), rng, (4.5,), adversarial=False)
+    x_t = np.cos(d.t)[:, None] * d.x0 + np.sin(d.t)[:, None] * d.z
+    f = np.asarray(state.student.velocity(x_t, d.t, d.y, cfg=d.cfg))
+    loss = scm_objective(state, d, (np.zeros_like(f), f))
+    w = np.asarray(state.wphi.forward(d.t))
+    assert float(loss) == pytest.approx(-float(np.mean(w)), abs=1e-12)
 
 
 def test_adaptive_weight_scalar_fixed_point():
@@ -120,28 +118,20 @@ def test_stop_gradient_paths_excluded(gauss_ds, tiny_state):
     """Analytic generator gradient equals FD with the stop-grad branch frozen."""
     state, config = tiny_state
     rng = np.random.default_rng(10)
-    x0, y = minibatch_arrays(gauss_ds, 12, rng)
-    z, t, cfg = _draw_gen_batch(state, x0, rng, config.cfg_scales)
-    t_gan = t.copy()
-    s = np.full(len(t), 0.8)
-    r = 0.8
-    x_t = np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
-    g, f_sg = _tangent_and_value(state, x_t, t, y, cfg, r, config.tangent_c)
+    d = draw(state, minibatch_arrays(gauss_ds, 12, rng), rng, config.cfg_scales,
+             adversarial=False)
+    d = replace(d, t_gan=d.t.copy(), s=np.full(len(d.t), 0.8))
+    target = scm_target(state, d, 0.8, config.tangent_c)
 
     sp = state.student.inner.params
     wp = state.wphi.params
 
     def value():
-        P_s = {n: sp[n] for n in sp.names}
-        P_w = {n: wp[n] for n in wp.names}
-        total, _, _ = _generator_objective(state, config, r, x0, y, z, t, t_gan,
-                                           s, cfg, P_s, P_w, g=g, f_sg=f_sg)
-        return float(np.asarray(total))
+        return float(_generator_objective(state, config, d, target)[0])
 
     leaves_s = sp.as_vars()
     leaves_w = wp.as_vars()
-    total, _, _ = _generator_objective(state, config, r, x0, y, z, t, t_gan,
-                                       s, cfg, leaves_s, leaves_w, g=g, f_sg=f_sg)
+    total, _, _ = _generator_objective(state, config, d, target, leaves_s, leaves_w)
     total.backward()
     grad = sp.gradient_from(leaves_s)
 
@@ -183,19 +173,15 @@ def test_one_step_generate_domain(tiny_state):
     assert out.shape == (3, 2)
 
 
-def test_warmup_ratio_values():
-    assert min(1.0, 5 / 10) == 0.5
-    assert min(1.0, 15 / 10) == 1.0
-
-
 def test_warmup_ratio_in_step(gauss_ds, teacher):
     net, _ = teacher
     config = DistillConfig(iters=2, batch=8, warmup_H=10)
     state = init_distill(net, gauss_ds, config, seed=0)
-    state.iters_done = 4
+    state.step = 2
     row = tfdl.distill_step(state, config, gauss_ds, np.random.default_rng(13))
-    assert row["r"] == 0.5  # D phase bumps the counter to 5 before the ramp
-    state.iters_done = 40
+    assert row["r"] == 0.5  # the ramp counts half-steps: (2 * 2 + 1) / 10
+    assert row["iter"] == 2 and state.step == 3
+    state.step = 20
     row = tfdl.distill_step(state, config, gauss_ds, np.random.default_rng(14))
     assert row["r"] == 1.0
 
@@ -204,27 +190,48 @@ def test_lambda_zero_total_equals_scm_loss(gauss_ds, teacher):
     net, _ = teacher
     config = DistillConfig(iters=1, batch=16, lambda_adv=0.0)
     state = init_distill(net, gauss_ds, config, seed=1)
-    rng = np.random.default_rng(15)
     probe = np.random.default_rng(15)
-    # replay the step's draws: minibatch then the generator batch
-    x0, y = minibatch_arrays(gauss_ds, config.batch, probe)
-    z, t, cfg = _draw_gen_batch(state, x0, probe, config.cfg_scales)
-    x_t = np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
-    g, f_sg = _tangent_and_value(state, x_t, t, y, cfg, 1 / config.warmup_H,
-                                 config.tangent_c)
-    P_s = {n: state.student.inner.params[n] for n in state.student.inner.params.names}
-    P_w = {n: state.wphi.params[n] for n in state.wphi.params.names}
-    expected = float(np.asarray(_scm_objective(state, x_t, t, y, cfg, g, f_sg, P_s, P_w)))
-    row = tfdl.distill_step(state, config, gauss_ds, rng)
+    # from the same generator state, the public loss makes the step's draws
+    expected = tfdl.scm_loss(state, minibatch_arrays(gauss_ds, config.batch, probe), probe,
+                             r=1 / config.warmup_H, tangent_c=config.tangent_c,
+                             cfg_scales=config.cfg_scales)
+    row = tfdl.distill_step(state, config, gauss_ds, np.random.default_rng(15))
     assert row["adv_g"] == 0.0 and row["adv_d"] == 0.0
-    assert row["scm_loss"] == pytest.approx(expected, rel=1e-12)
+    assert row["scm_loss"] == expected
+
+
+def test_hybrid_adv_d_equals_disc_loss(gauss_ds, teacher):
+    net, _ = teacher
+    config = DistillConfig(iters=1, batch=16)
+    state = init_distill(net, gauss_ds, config, seed=1)
+    probe = np.random.default_rng(17)
+    expected = tfdl.disc_loss(state, minibatch_arrays(gauss_ds, config.batch, probe), probe,
+                              cfg_scales=config.cfg_scales)
+    row = tfdl.distill_step(state, config, gauss_ds, np.random.default_rng(17))
+    assert isinstance(expected, float)
+    assert row["adv_d"] == expected
+
+
+@pytest.mark.parametrize("lambda_adv,message", [(0.5, "non-finite network input"),
+                                                (0.0, "non-finite JVP")])
+def test_divergence_reports_full_step(gauss_ds, teacher, lambda_adv, message):
+    # hybrid: the discriminator phase fails first; consistency-only: the JVP
+    net, _ = teacher
+    config = DistillConfig(iters=4, batch=8, lambda_adv=lambda_adv)
+    state = init_distill(net, gauss_ds, config, seed=2)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        tfdl.distill_step(state, config, gauss_ds, rng)
+    state.student.inner.params["in_w"] = np.nan
+    with pytest.raises(TrainingDivergence, match=message) as err:
+        tfdl.distill_step(state, config, gauss_ds, rng)
+    assert err.value.iteration == 3
 
 
 def test_max_time_mixing_statistics():
-    from tfdl.distill import _mix_max_time
     rng = np.random.default_rng(16)
     t = np.full(10 ** 5, 0.3)
-    mixed = _mix_max_time(t, 0.5, rng)
+    mixed = mix_max_time(t, 0.5, rng)
     frac = np.mean(mixed == HALF_PI)
     assert 0.49 <= frac <= 0.51
 

@@ -51,7 +51,7 @@ def test_fm_loss_zero_net_matches_gaussian_moment():
 
 def test_fm_loss_non_negative(gauss_ds):
     net = tfdl.VelocityNet(gauss_ds.n_classes, seed=1, zero_out=False)
-    batch = tfdl.minibatch(gauss_ds, 32, np.random.default_rng(4))
+    batch = tfdl.minibatch_arrays(gauss_ds, 32, np.random.default_rng(4))
     assert fm_loss(net, batch, np.random.default_rng(5)) >= 0.0
 
 

@@ -43,14 +43,16 @@ def test_labels_in_range(name, k):
 
 
 def test_minibatch_members_and_determinism(gauss_ds):
-    batch = tfdl.minibatch(gauss_ds, 4, np.random.default_rng(5))
-    assert len(batch) == 4
-    for s in batch:
-        # every sample exists in the dataset
-        assert (gauss_ds.points == s.x0).all(axis=1).any()
-    a = tfdl.minibatch(gauss_ds, 8, np.random.default_rng(11))
-    b = tfdl.minibatch(gauss_ds, 8, np.random.default_rng(11))
-    assert all((x.x0 == y.x0).all() and x.y == y.y for x, y in zip(a, b))
+    x0, y = tfdl.minibatch_arrays(gauss_ds, 4, np.random.default_rng(5))
+    assert x0.shape == (4, 2) and y.shape == (4,)
+    for point, label in zip(x0, y):
+        # every sample exists in the dataset, with its own label
+        match = (gauss_ds.points == point).all(axis=1)
+        assert match.any() and label in gauss_ds.labels[match]
+    a = tfdl.minibatch_arrays(gauss_ds, 8, np.random.default_rng(11))
+    b = tfdl.minibatch_arrays(gauss_ds, 8, np.random.default_rng(11))
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_minibatch_class_frequencies():
@@ -62,10 +64,10 @@ def test_minibatch_class_frequencies():
 
 def test_minibatch_validations(gauss_ds):
     with pytest.raises(ValueError):
-        tfdl.minibatch(gauss_ds, 0, np.random.default_rng(0))
+        tfdl.minibatch_arrays(gauss_ds, 0, np.random.default_rng(0))
     empty = tfdl.Dataset("gauss-mix", np.empty((0, 2)), np.empty(0, dtype=int), 1.0, 1)
     with pytest.raises(StateError):
-        tfdl.minibatch(empty, 1, np.random.default_rng(0))
+        tfdl.minibatch_arrays(empty, 1, np.random.default_rng(0))
 
 
 def test_csv_dump_roundtrips(tmp_path, gauss_ds):
