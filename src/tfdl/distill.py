@@ -41,6 +41,8 @@ class DistillConfig:
     iters: int = 4000
     batch: int = 96
     lambda_adv: float = 0.5
+    # tangent ramp length in half-steps: r = min(1, (2·step + 1) / warmup_H), so r
+    # reaches 1 after about warmup_H / 2 full steps
     warmup_H: int = 1000
     tangent_c: float = 0.1
     gen_tdist: TimestepDistribution = field(

@@ -4,7 +4,9 @@
 square tiles of at most ``_MMD_TILE`` (256) points a side, so one tile's
 float64 temporary (512 KiB) stays in cache. The two self-kernels are
 symmetric with a unit diagonal, so only the tiles on and above the diagonal
-are built, and the diagonal counts as exactly n (``exp(-0) = 1``).
+are built, and the diagonal counts as exactly n (``exp(-0) = 1``). Every tile
+of one call is computed in place in one preallocated ``(2, 256²)`` buffer, so
+the tiles allocate nothing.
 """
 
 from __future__ import annotations
@@ -46,31 +48,37 @@ def sliced_w2(a, b, n_proj=64, seed=0):
 _MMD_TILE = 256  # side of the square kernel tiles held in memory at once
 
 
-def _tile_sum(u, v, gamma):
-    """Sum of exp(-gamma * |u_i - v_j|^2) over the pairs of one tile."""
-    sq = np.zeros((len(u), len(v)))
-    for k in range(u.shape[1]):
-        d = u[:, k, None] - v[:, k]
-        sq += d * d
+def _tile_sum(u, v, gamma, buf):
+    """Sum of exp(-gamma * |u_i - v_j|^2) over the pairs of one tile, computed
+    in contiguous ``(len(u), len(v))`` views of the two rows of ``buf``."""
+    n = len(u) * len(v)
+    sq = buf[0, :n].reshape(len(u), len(v))
+    d = buf[1, :n].reshape(len(u), len(v))
+    np.subtract(u[:, 0, None], v[:, 0], out=sq)
+    sq *= sq
+    for k in range(1, u.shape[1]):
+        np.subtract(u[:, k, None], v[:, k], out=d)
+        d *= d
+        sq += d
     sq *= -gamma
     return np.exp(sq, out=sq).sum()
 
 
-def _kernel_sum(u, v, gamma):
+def _kernel_sum(u, v, gamma, buf):
     """Kernel sum over all pairs of ``u`` and ``v``, built in square tiles."""
-    return sum(_tile_sum(u[i:i + _MMD_TILE], v[j:j + _MMD_TILE], gamma)
+    return sum(_tile_sum(u[i:i + _MMD_TILE], v[j:j + _MMD_TILE], gamma, buf)
                for i in range(0, len(u), _MMD_TILE) for j in range(0, len(v), _MMD_TILE))
 
 
-def _self_kernel_sum(u, gamma):
+def _self_kernel_sum(u, gamma, buf):
     """Kernel sum over all pairs of ``u``, using the kernel's symmetry: tiles
     on the diagonal are summed in full and each tile above it counts twice."""
     total = 0.0
     for i in range(0, len(u), _MMD_TILE):
         rows = u[i:i + _MMD_TILE]
-        total += _tile_sum(rows, rows, gamma)
+        total += _tile_sum(rows, rows, gamma, buf)
         for j in range(i + _MMD_TILE, len(u), _MMD_TILE):
-            total += 2.0 * _tile_sum(rows, u[j:j + _MMD_TILE], gamma)
+            total += 2.0 * _tile_sum(rows, u[j:j + _MMD_TILE], gamma, buf)
     return total
 
 
@@ -85,9 +93,10 @@ def mmd_rbf(a, b, bandwidth=1.0):
         raise ValueError("the unbiased estimate needs at least 2 samples per side")
     gamma = 1.0 / (2.0 * bandwidth ** 2)
     na, nb = len(a), len(b)
-    est = ((_self_kernel_sum(a, gamma) - na) / (na * (na - 1))
-           + (_self_kernel_sum(b, gamma) - nb) / (nb * (nb - 1))
-           - 2.0 * _kernel_sum(a, b, gamma) / (na * nb))
+    buf = np.empty((2, _MMD_TILE * _MMD_TILE))
+    est = ((_self_kernel_sum(a, gamma, buf) - na) / (na * (na - 1))
+           + (_self_kernel_sum(b, gamma, buf) - nb) / (nb * (nb - 1))
+           - 2.0 * _kernel_sum(a, b, gamma, buf) / (na * nb))
     return max(0.0, float(est))
 
 

@@ -35,6 +35,16 @@ from .errors import NumericsError
 from .optim import ParamVector
 
 _ROW_BLOCK = 512  # rows per block of a plain forward; keeps temporaries in L2
+N_TOKENS = 8       # tokens a hidden row splits into for the attention block
+
+
+def check_width(width, n_freq, n_tokens=N_TOKENS):
+    """Raise ValueError unless ``width`` fits the time embedding and the tokens."""
+    if width != 2 * n_freq:
+        raise ValueError(f"width must equal 2*n_freq so the time embedding adds "
+                         f"directly (width {width}, n_freq {n_freq})")
+    if width % n_tokens:
+        raise ValueError(f"width {width} must be divisible by n_tokens ({n_tokens})")
 
 
 def _traced(v):
@@ -56,13 +66,10 @@ def _as_vec(v, n, dtype=np.float64):
 class VelocityNet:
     """F(x, t, y, cfg) with value, forward-mode JVP, and reverse-mode gradient."""
 
-    def __init__(self, n_classes, width=128, depth=4, n_freq=64, n_tokens=8,
+    def __init__(self, n_classes, width=128, depth=4, n_freq=64, n_tokens=N_TOKENS,
                  attention=True, qk_norm=True, c_noise_scale=1.0, seed=0,
                  zero_out=True):
-        if width != 2 * n_freq:
-            raise ValueError("width must equal 2*n_freq so the time embedding adds directly")
-        if width % n_tokens:
-            raise ValueError("width must be divisible by n_tokens")
+        check_width(width, n_freq, n_tokens)
         self.n_classes = n_classes
         self.width = width
         self.depth = depth

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distill import DistillConfig
 from .errors import ConfigurationError
-from .net import VelocityNet
+from .net import VelocityNet, check_width
 from .schedule import TimestepDistribution
 from .teacher import TeacherConfig
 
@@ -39,6 +39,10 @@ class DatasetSpec:
     comp_std: float = 0.3
     radius: float = 2.0
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"dataset n must be at least 2, not {self.n}")
+
 
 @dataclass
 class NetSpec:
@@ -48,6 +52,9 @@ class NetSpec:
     attention: bool = True
     qk_norm: bool = True
     c_noise_scale: float = 1.0
+
+    def __post_init__(self):
+        check_width(self.width, self.n_freq)
 
 
 @dataclass
@@ -62,6 +69,12 @@ class RunConfig:
     eval_cfg_scale: float = 4.5
     eval_samples: int = 4096
     out_dir: str = "runs/default"
+
+    def __post_init__(self):
+        if self.eval_samples < 2:
+            raise ValueError(f"eval_samples must be at least 2, not {self.eval_samples}")
+        if not np.isfinite(self.eval_cfg_scale):
+            raise ValueError(f"eval_cfg_scale must be finite, not {self.eval_cfg_scale}")
 
     def to_json(self):
         d = asdict(self)

@@ -86,10 +86,20 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     ("distill", "iters", 0),
     ("distill", "cfg_scales", []),
     ("distill", "cfg_scales", [4.0, float("nan")]),
+    (None, "eval_samples", 0),
+    (None, "eval_samples", 1),
+    (None, "eval_cfg_scale", float("nan")),
+    ("dataset", "n", 0),
+    ("dataset", "n", 1),
+    ("net", "width", 100),
+    # width = 2·n_freq holds, but 36 does not split into the net's 8 tokens
+    pytest.param("net", "n_tokens", {"width": 36, "n_freq": 18}, id="net-width-36-n_freq-18"),
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):
+    # section None is a top-level RunConfig key; a dict value edits several keys
     d = json.loads(RunConfig().to_json())
-    d[section][key] = value
+    target = d if section is None else d[section]
+    target.update(value if isinstance(value, dict) else {key: value})
     d["out_dir"] = str(tmp_path / "out")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))

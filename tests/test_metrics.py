@@ -116,6 +116,48 @@ def test_mmd_identical_samples_over_several_tiles_is_zero():
     assert mmd_rbf(a, a.copy()) == 0.0
 
 
+def _alloc_tile_sum(u, v, gamma):
+    sq = np.zeros((len(u), len(v)))
+    for k in range(u.shape[1]):
+        d = u[:, k, None] - v[:, k]
+        sq += d * d
+    sq *= -gamma
+    return np.exp(sq, out=sq).sum()
+
+
+def _alloc_mmd(a, b, bandwidth=1.0):
+    """Reference: ``mmd_rbf`` with a fresh array per tile. The in-place tiles
+    make the same operations in the same order, so they must match bit for bit."""
+    def kernel_sum(u, v):
+        return sum(_alloc_tile_sum(u[i:i + _MMD_TILE], v[j:j + _MMD_TILE], gamma)
+                   for i in range(0, len(u), _MMD_TILE) for j in range(0, len(v), _MMD_TILE))
+
+    def self_kernel_sum(u):
+        total = 0.0
+        for i in range(0, len(u), _MMD_TILE):
+            rows = u[i:i + _MMD_TILE]
+            total += _alloc_tile_sum(rows, rows, gamma)
+            for j in range(i + _MMD_TILE, len(u), _MMD_TILE):
+                total += 2.0 * _alloc_tile_sum(rows, u[j:j + _MMD_TILE], gamma)
+        return total
+
+    gamma = 1.0 / (2.0 * bandwidth ** 2)
+    na, nb = len(a), len(b)
+    est = ((self_kernel_sum(a) - na) / (na * (na - 1))
+           + (self_kernel_sum(b) - nb) / (nb * (nb - 1))
+           - 2.0 * kernel_sum(a, b) / (na * nb))
+    return max(0.0, float(est))
+
+
+@pytest.mark.parametrize("na, nb", [(4096, 4096), (700, 1030), (257, 513), (2, 3)])
+def test_mmd_bit_identical_to_allocating_tiles(na, nb):
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((na, 2))
+    b = 0.8 * rng.standard_normal((nb, 2)) + 0.3
+    assert mmd_rbf(a, b, bandwidth=0.7) == _alloc_mmd(a, b, bandwidth=0.7)
+    assert mmd_rbf(b, a) == _alloc_mmd(b, a)
+
+
 def test_mmd_rejects_single_sample():
     # the unbiased within-set terms divide by n (n - 1)
     one, many = np.zeros((1, 2)), np.ones((8, 2))
