@@ -1,34 +1,37 @@
 """Array-valued automatic differentiation on float64 numpy arrays.
 
-Every differentiable operation is one entry of a single rule table
-(``PRIMITIVES``). An entry gives its primal function once, one linear tangent
-rule per argument, and the transpose of a rule only where the rule is not its
-own transpose: elementwise rules scale by a diagonal Jacobian and softmax's
-Jacobian is symmetric, so those serve both directions. A linear entry omits
+Every differentiable operation is one ``Prim`` entry of a single rule table
+(``PRIMITIVES``): its primal function, a linear tangent rule, and a transpose
+only where the tangent rule is not its own (elementwise rules scale by a
+diagonal Jacobian and softmax's Jacobian is symmetric). A linear entry omits
 its tangent rule, which is then the primal applied to the tangent. An entry
 may also give a forward that returns a residual for the rules (SiLU keeps its
-sigmoid); without one the residual is the output. The plain primal and that
-forward compute the output with the same operations, so the three modes below
-give bit-identical values.
+sigmoid); without one the residual is the output. The primal and that forward
+compute the output with the same operations, so every mode gives
+bit-identical values.
 
-Calling an entry interprets it in one of three modes, chosen by its arguments:
+One rule convention. An entry's operands are its first ``arity`` arguments,
+or one list when ``arity`` is ``None``; further arguments are static
+parameters. Its rules get the operands as a list ``xs`` and the residual
+``r``: ``jvp(ts, xs, r, *params)`` returns the output tangent, with ``None``
+in ``ts`` for each constant operand, and ``vjp(g, xs, r, live, *params)``
+returns the gradients of the operands indexed by ``live`` only, so constants
+cost no work. A fixed-arity entry may give one rule per operand instead,
+``rule(t, *xs, r, *params)``, a tuple of them when it has two operands;
+``Prim`` lists them once, summing the operands' tangents and summing each
+gradient back to its operand's shape (the reverse of numpy broadcasting).
+``cat`` and ``attention`` write the list form; ``attention`` is the velocity
+net's whole attention block (projections, QK RMS norm, softmax, output
+projection) with hand-derived rules, so a block is one tape node.
 
-* plain ndarrays go straight to the primal function;
-* ``Dual`` — forward mode. Carries (primal, tangent) pairs; the output tangent
-  is the sum of the tangent rules of the arguments that carry one.
-* ``Var``  — reverse mode. Records a tape node whose vector-Jacobian product
-  applies each live argument's transpose and sums it back to that argument's
-  shape; ``backward()`` accumulates gradients by reverse topological order.
+Two interpreters. An entry called on plain ndarrays runs its primal;
+otherwise the type of its traced operand interprets the call:
 
-Rules are called as ``rule(t, *primal_args, residual, *params)``: ``(t, x, r)``
-for a unary entry, ``(t, a, b, r)`` for a binary one. An entry over a list of
-arguments (``Nary``) gets the whole list: its tangent rule ``(ts, xs, r)``
-finds ``None`` in ``ts`` for each constant argument, and its transpose
-``(g, xs, r, live)`` returns the gradients of the arguments indexed by
-``live`` only, so neither spends work on constants. ``cat`` is one such
-entry; ``attention`` is the other, the velocity net's whole attention block
-(projections, QK RMS norm, softmax, output projection) fused into one entry
-with a residual and hand-derived rules, so a block is one tape node.
+* ``Dual`` — forward mode. Carries (primal, tangent) pairs; ``jvp`` gives the
+  output's tangent.
+* ``Var``  — reverse mode. Records a tape node whose parents are the live
+  operands and whose closure applies ``vjp``; ``backward()`` accumulates
+  gradients in reverse topological order.
 
 Plain ndarrays mix freely with either type and are treated as constants,
 which is how stop-gradient and frozen-module semantics are expressed: a
@@ -118,6 +121,19 @@ class Dual(_Traced):
             t = np.asarray(tangent, dtype=np.float64)
             self.t = np.broadcast_to(t, self.p.shape) if t.shape != self.p.shape else t
 
+    @staticmethod
+    def _interpret(prim, xs, params, kw):
+        ps, ts = [], []
+        for x in xs:
+            if isinstance(x, Dual):
+                ps.append(x.p)
+                ts.append(x.t)
+            else:
+                ps.append(x)
+                ts.append(None)
+        y, r = prim._forward(ps, params, kw)
+        return Dual(y, prim.jvp(ts, ps, r, *params, **kw))
+
 
 class Var(_Traced):
     """Reverse-mode tape node holding value ``v`` and accumulated ``grad``."""
@@ -129,6 +145,20 @@ class Var(_Traced):
         self.grad = None
         self._parents = parents
         self._vjp = vjp
+
+    @staticmethod
+    def _interpret(prim, xs, params, kw):
+        vals, parents, live = [], [], []
+        for i, x in enumerate(xs):
+            if isinstance(x, Var):
+                vals.append(x.v)
+                parents.append(x)
+                live.append(i)
+            else:
+                vals.append(x)
+        y, r = prim._forward(vals, params, kw)
+        vjp = prim.vjp
+        return Var(y, parents, lambda g: vjp(g, vals, r, live, *params, **kw))
 
     def backward(self, seed=None):
         """Accumulate gradients of this (scalar) node into the tape."""
@@ -154,8 +184,6 @@ class Var(_Traced):
             if node._vjp is None or node.grad is None:
                 continue
             for p, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None:
-                    continue
                 p.grad = g if p.grad is None else p.grad + g
 
 
@@ -168,92 +196,59 @@ def primal(x):
     return np.asarray(x)
 
 
-# -- the three interpreters --------------------------------------------------
+# -- the table entry ---------------------------------------------------------
+
+def _listed(jvps, vjps):
+    """List-form rules from per-operand rules ``rule(t, *xs, r, *params)``."""
+
+    def jvp(ts, xs, r, *params, **kw):
+        out = None
+        for rule, t in zip(jvps, ts):
+            if t is not None:
+                d = rule(t, *xs, r, *params, **kw)
+                out = d if out is None else out + d
+        return out
+
+    def vjp(g, xs, r, live, *params, **kw):
+        return [_unbroadcast(vjps[i](g, *xs, r, *params, **kw), xs[i].shape) for i in live]
+
+    return jvp, vjp
+
 
 class Prim:
-    """One table entry; see the module docstring for the rule conventions.
+    """One table entry; the module docstring gives the rule conventions.
 
-    ``fwd``, when given, returns (output, residual) for the tangent-carrying
-    modes; plain arrays keep the primal, whose temporaries numpy can reuse.
+    ``fwd``, when given, returns (output, residual) for the traced modes;
+    plain arrays keep the primal, whose temporaries numpy can reuse.
     """
 
-    def __init__(self, name, primal, jvp=None, vjp=None, fwd=None):
-        self.name, self.primal, self.fwd = name, primal, fwd
-        self.jvp = jvp or (lambda t, x, r, *params, **kw: primal(t, *params, **kw))
-        self.vjp = vjp or self.jvp
+    def __init__(self, name, primal, jvp=None, vjp=None, fwd=None, arity=1):
+        self.name, self.primal, self.fwd, self.arity = name, primal, fwd, arity
+        if arity is not None:  # per-operand rules: a function, or a tuple of them
+            if jvp is None:  # linear: the tangent rule is the primal itself
+                jvp = lambda t, x, r, *params, **kw: primal(t, *params, **kw)
+            vjp = vjp or jvp
+            if arity == 1:
+                jvp, vjp = (jvp,), (vjp,)
+            jvp, vjp = _listed(jvp, vjp)
+        self.jvp, self.vjp = jvp, vjp
         PRIMITIVES[name] = self
 
-    def _forward(self, *args, **kw):
+    def __call__(self, *args, **kw):
+        n = self.arity
+        xs = args[0] if n is None else args[:n]
+        for x in xs:
+            if isinstance(x, _Traced):
+                return x._interpret(self, xs, args[1 if n is None else n:], kw)
+        return self.primal(*args, **kw)
+
+    def _forward(self, xs, params, kw):
+        """(output, residual) of the operand list ``xs``."""
+        args = (xs,) if self.arity is None else xs
         if self.fwd is None:
-            y = self.primal(*args, **kw)
+            y = self.primal(*args, *params, **kw)
             return y, y
-        return self.fwd(*args, **kw)
-
-
-class Unary(Prim):
-    """Entry with one differentiable argument plus static parameters."""
-
-    def __call__(self, x, *params, **kw):
-        if isinstance(x, Dual):
-            xp = x.p
-        elif isinstance(x, Var):
-            xp = x.v
-        else:
-            return self.primal(x, *params, **kw)
-        y, r = self._forward(xp, *params, **kw)
-        if isinstance(x, Dual):
-            return Dual(y, self.jvp(x.t, xp, r, *params, **kw))
-        vjp = self.vjp
-        return Var(y, (x,), lambda g: (vjp(g, xp, r, *params, **kw),))
-
-
-class Binary(Prim):
-    """Entry with two differentiable, broadcasting arguments."""
-
-    def __call__(self, a, b):
-        da, db = isinstance(a, Dual), isinstance(b, Dual)
-        if da or db:
-            ap, bp = (a.p if da else a), (b.p if db else b)
-            y = self.primal(ap, bp)
-            ja, jb = self.jvp
-            if da and db:
-                return Dual(y, ja(a.t, ap, bp, y) + jb(b.t, ap, bp, y))
-            return Dual(y, ja(a.t, ap, bp, y) if da else jb(b.t, ap, bp, y))
-        va, vb = isinstance(a, Var), isinstance(b, Var)
-        if not (va or vb):
-            return self.primal(a, b)
-        ap, bp = (a.v if va else a), (b.v if vb else b)
-        y = self.primal(ap, bp)
-        ga, gb = self.vjp
-        if va and vb:
-            return Var(y, (a, b), lambda g: (_unbroadcast(ga(g, ap, bp, y), ap.shape),
-                                             _unbroadcast(gb(g, ap, bp, y), bp.shape)))
-        if va:
-            return Var(y, (a,), lambda g: (_unbroadcast(ga(g, ap, bp, y), ap.shape),))
-        return Var(y, (b,), lambda g: (_unbroadcast(gb(g, ap, bp, y), bp.shape),))
-
-
-class Nary(Prim):
-    """Entry over a list of differentiable arguments.
-
-    Constant operands cost their rules nothing: the tangent list holds
-    ``None`` for each, and the transpose gets the indices ``live`` of the
-    operands that need a gradient and returns those gradients only.
-    """
-
-    def __call__(self, xs, *params, **kw):
-        if any(isinstance(x, Dual) for x in xs):
-            ps = [x.p if isinstance(x, Dual) else np.asarray(x, dtype=np.float64) for x in xs]
-            ts = [x.t if isinstance(x, Dual) else None for x in xs]
-            y, r = self._forward(ps, *params, **kw)
-            return Dual(y, self.jvp(ts, ps, r, *params, **kw))
-        live = tuple(i for i, x in enumerate(xs) if isinstance(x, Var))
-        if not live:
-            return self.primal(xs, *params, **kw)
-        vals = [x.v if isinstance(x, Var) else np.asarray(x, dtype=np.float64) for x in xs]
-        y, r = self._forward(vals, *params, **kw)
-        vjp = self.vjp
-        return Var(y, tuple(xs[i] for i in live), lambda g: vjp(g, vals, r, live, *params, **kw))
+        return self.fwd(*args, *params, **kw)
 
 
 # -- the rule table ----------------------------------------------------------
@@ -431,31 +426,32 @@ def _attention_vjp(g, xs, res, live, n_tokens, qk_norm):
     return [grads[i]() for i in live]
 
 
-sin = Unary("sin", np.sin, lambda t, x, r: t * np.cos(x))
-cos = Unary("cos", np.cos, lambda t, x, r: -t * np.sin(x))
-exp = Unary("exp", np.exp, lambda t, x, e: t * e)
-log = Unary("log", np.log, lambda t, x, r: t / x)
-sqrt = Unary("sqrt", np.sqrt, lambda t, x, y: 0.5 * t / y)
-tanh = Unary("tanh", np.tanh, lambda t, x, y: t * (1.0 - y * y))
-relu = Unary("relu", lambda x: np.maximum(x, 0.0), lambda t, x, r: np.where(x > 0, t, 0.0))
-silu = Unary("silu", _silu, lambda t, x, s: t * (s * (1.0 + x * (1.0 - s))),
-             fwd=_silu_fwd)
-softmax = Unary("softmax", _softmax, _softmax_rule)
-power = Unary("power", lambda x, k: x ** k, lambda t, x, r, k: t * (k * x ** (k - 1.0)))
-neg = Unary("neg", np.negative)
-vsum = Unary("vsum", _sum, vjp=_sum_vjp)
-vmean = Unary("vmean", _mean, vjp=_mean_vjp)
-reshape = Unary("reshape", lambda x, shape: np.asarray(x).reshape(shape),
-                vjp=lambda g, x, r, shape: g.reshape(x.shape))
-swap_last = Unary("swap_last", _swap)
-take_rows = Unary("take_rows", lambda x, idx: x[idx], vjp=_take_rows_vjp)
-add = Binary("add", np.add, (lambda t, a, b, r: t, lambda t, a, b, r: t))
-sub = Binary("sub", np.subtract, (lambda t, a, b, r: t, lambda t, a, b, r: -t))
-mul = Binary("mul", np.multiply, (lambda t, a, b, r: t * b, lambda t, a, b, r: a * t))
-div = Binary("div", np.true_divide, (lambda t, a, b, r: t / b,
-                                     lambda t, a, b, r: -t * a / (b * b)))
-matmul = Binary("matmul", np.matmul, (lambda t, a, b, r: t @ b, lambda t, a, b, r: a @ t),
-                vjp=(lambda g, a, b, r: g @ _swap(b), lambda g, a, b, r: _swap(a) @ g))
-cat = Nary("cat", lambda xs, axis=-1: np.concatenate(xs, axis=axis), _cat_jvp, _cat_vjp)
-attention = Nary("attention", lambda xs, n_tokens, qk_norm: _attention_fwd(xs, n_tokens, qk_norm)[0],
-                 _attention_jvp, _attention_vjp, fwd=_attention_fwd)
+sin = Prim("sin", np.sin, lambda t, x, r: t * np.cos(x))
+cos = Prim("cos", np.cos, lambda t, x, r: -t * np.sin(x))
+exp = Prim("exp", np.exp, lambda t, x, e: t * e)
+log = Prim("log", np.log, lambda t, x, r: t / x)
+sqrt = Prim("sqrt", np.sqrt, lambda t, x, y: 0.5 * t / y)
+tanh = Prim("tanh", np.tanh, lambda t, x, y: t * (1.0 - y * y))
+relu = Prim("relu", lambda x: np.maximum(x, 0.0), lambda t, x, r: np.where(x > 0, t, 0.0))
+silu = Prim("silu", _silu, lambda t, x, s: t * (s * (1.0 + x * (1.0 - s))),
+            fwd=_silu_fwd)
+softmax = Prim("softmax", _softmax, _softmax_rule)
+power = Prim("power", lambda x, k: x ** k, lambda t, x, r, k: t * (k * x ** (k - 1.0)))
+neg = Prim("neg", np.negative)
+vsum = Prim("vsum", _sum, vjp=_sum_vjp)
+vmean = Prim("vmean", _mean, vjp=_mean_vjp)
+reshape = Prim("reshape", lambda x, shape: np.asarray(x).reshape(shape),
+               vjp=lambda g, x, r, shape: g.reshape(x.shape))
+swap_last = Prim("swap_last", _swap)
+take_rows = Prim("take_rows", lambda x, idx: x[idx], vjp=_take_rows_vjp)
+add = Prim("add", np.add, (lambda t, a, b, r: t, lambda t, a, b, r: t), arity=2)
+sub = Prim("sub", np.subtract, (lambda t, a, b, r: t, lambda t, a, b, r: -t), arity=2)
+mul = Prim("mul", np.multiply, (lambda t, a, b, r: t * b, lambda t, a, b, r: a * t), arity=2)
+div = Prim("div", np.true_divide, (lambda t, a, b, r: t / b,
+                                   lambda t, a, b, r: -t * a / (b * b)), arity=2)
+matmul = Prim("matmul", np.matmul, (lambda t, a, b, r: t @ b, lambda t, a, b, r: a @ t),
+              vjp=(lambda g, a, b, r: g @ _swap(b), lambda g, a, b, r: _swap(a) @ g), arity=2)
+cat = Prim("cat", lambda xs, axis=-1: np.concatenate(xs, axis=axis), _cat_jvp, _cat_vjp,
+           arity=None)
+attention = Prim("attention", lambda xs, n_tokens, qk_norm: _attention_fwd(xs, n_tokens, qk_norm)[0],
+                 _attention_jvp, _attention_vjp, fwd=_attention_fwd, arity=None)

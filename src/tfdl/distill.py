@@ -55,8 +55,9 @@ class DistillConfig:
     wphi_width: int = 32
 
     def __post_init__(self):
-        if self.iters < 1:
-            raise ValueError("iters must be at least 1")
+        for key in ("iters", "batch"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, not {getattr(self, key)}")
         if len(self.cfg_scales) == 0 or not np.all(np.isfinite(self.cfg_scales)):
             raise ValueError("cfg_scales must be non-empty and finite")
         if self.lambda_adv < 0:

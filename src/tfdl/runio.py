@@ -1,8 +1,8 @@
 """Run configuration, checkpoint format, CSV writers, and SVG scatter plots.
 
 Checkpoints are a single JSON header line (schema version, segment names and
-shapes, time-embedding scale, QK-norm flag, plus rebuild metadata) followed by
-the raw little-endian float64 parameter values in segment order. Loading
+shapes, plus rebuild metadata, which holds the net's hyperparameters) followed
+by the raw little-endian float64 parameter values in segment order. Loading
 rejects a checkpoint whose header, size, layout or values do not check out
 with ``ConfigurationError`` naming the file.
 """
@@ -77,9 +77,7 @@ class RunConfig:
             raise ValueError(f"eval_cfg_scale must be finite, not {self.eval_cfg_scale}")
 
     def to_json(self):
-        d = asdict(self)
-        d["teacher"].pop("weighting", None)  # callables stay code-side
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
@@ -117,7 +115,7 @@ def build_dataset(cfg):
 
 # -- checkpoints -------------------------------------------------------------
 
-def save_params(path, params, meta=None, c_noise_scale=None, qk_norm=None):
+def save_params(path, params, meta=None):
     """Write the checkpoint header line and the float64 segment bytes.
 
     The bytes go to a temporary file first and replace ``path`` in one step,
@@ -127,8 +125,6 @@ def save_params(path, params, meta=None, c_noise_scale=None, qk_norm=None):
     header = {"schema": CKPT_SCHEMA,
               "segments": list(params.names),
               "shapes": {n: list(params.shapes[n]) for n in params.names},
-              "c_noise_scale": c_noise_scale,
-              "qk_norm": qk_norm,
               "meta": meta or {}}
     tmp = f"{path}.tmp"
     try:
@@ -174,8 +170,7 @@ def load_checkpoint(path):
 def save_net(path, net, extra_meta=None):
     meta = net.meta()
     meta.update(extra_meta or {})
-    save_params(path, net.params, meta=meta,
-                c_noise_scale=net.c_noise_scale, qk_norm=net.qk_norm)
+    save_params(path, net.params, meta=meta)
 
 
 def load_net(path):

@@ -7,8 +7,7 @@ that wraps it. Noise is standard Gaussian per the flow-matching convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +23,14 @@ class TeacherConfig:
     lr_decay: str = "cosine"                   # "cosine" or "none"
     iters: int = 2000
     batch: int = 256
-    weighting: Optional[Callable] = None       # w(t); None means constant 1
     cfg_scales: tuple = (4.0, 4.5, 5.0)
     uncond_drop_prob: float = 0.1
     log_every: int = 100
 
     def __post_init__(self):
+        for key in ("iters", "batch", "log_every"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, not {getattr(self, key)}")
         if self.lr_decay not in ("cosine", "none"):
             raise ValueError(f"lr_decay must be 'cosine' or 'none', not {self.lr_decay!r}")
         if not self.cfg_scales:
@@ -38,15 +39,12 @@ class TeacherConfig:
             raise ValueError("uncond_drop_prob must lie in [0, 1]")
 
 
-def _fm_objective(net, params, x0, y, t, z, weighting):
-    """Mean of w(t) * ||v(x_t, t, y) - (z - x0)||^2 in any evaluation mode."""
+def _fm_objective(net, params, x0, y, t, z):
+    """Mean of ||v(x_t, t, y) - (z - x0)||^2 in any evaluation mode."""
     x_t = (1.0 - t)[:, None] * x0 + t[:, None] * z
     v = net.forward(x_t, t, y, cfg=0.0, params=params)
     target = z - x0
-    sq = vsum((v - target) * (v - target), axis=1)
-    if weighting is not None:
-        sq = sq * weighting(t)
-    return vmean(sq)
+    return vmean(vsum((v - target) * (v - target), axis=1))
 
 
 def _draw_fm_noise(n, n_classes, y, rng, uncond_drop_prob):
@@ -59,17 +57,15 @@ def _draw_fm_noise(n, n_classes, y, rng, uncond_drop_prob):
     return t, z, y
 
 
-def fm_loss(net, batch, rng, uncond_drop_prob=0.1, weighting=None):
+def fm_loss(net, batch, rng, uncond_drop_prob=0.1):
     """Flow-matching regression loss on one batch (fresh t, z draws)."""
     x0, y = batch_arrays(batch)
     t, z, y = _draw_fm_noise(len(x0), net.n_classes, y, rng, uncond_drop_prob)
-    return float(np.asarray(_fm_objective(net, None, x0, y, t, z, weighting)))
+    return float(np.asarray(_fm_objective(net, None, x0, y, t, z)))
 
 
 def train_teacher(net, ds, cfg, rng):
     """Adam-train the net on standardized data; returns (net, loss curve)."""
-    if cfg.iters < 1:
-        raise ValueError("iters must be at least 1")
     pts = ds.points / ds.sigma_d
     std_ds = type(ds)(ds.name, pts, ds.labels, 1.0, ds.n_classes)
     opt = Adam(net.params.size, cfg.lr)
@@ -81,7 +77,7 @@ def train_teacher(net, ds, cfg, rng):
         t, z, y = _draw_fm_noise(cfg.batch, net.n_classes, y, rng, cfg.uncond_drop_prob)
         try:
             val, grad = net.value_and_grad(
-                lambda P: _fm_objective(net, P, x0, y, t, z, cfg.weighting))
+                lambda P: _fm_objective(net, P, x0, y, t, z))
             opt.step(net.params.flat, grad)
         except NumericsError as exc:
             raise TrainingDivergence(it, str(exc)) from exc

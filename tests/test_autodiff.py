@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from tfdl.autodiff import (PRIMITIVES, Dual, Nary, Unary, Var, cat, cos, exp, log,
-                           relu, reshape, silu, sin, softmax, sqrt, take_rows, tanh, vmean,
-                           vsum)
+from tfdl.autodiff import (PRIMITIVES, Dual, Var, cat, cos, exp, log, relu, reshape, silu,
+                           sin, softmax, sqrt, take_rows, tanh, vmean, vsum)
 
 
 def test_dual_product_rule_t_times_x():
@@ -136,10 +135,11 @@ def test_cat_splits_gradient():
 # -- per-primitive rule sweep -------------------------------------------------
 # Every entry of the rule table is checked on its own: the Dual tangent against
 # central differences, and <u, J v> (Dual) against <J^T u, v> (Var), with each
-# subset of arguments live and the others passed as constants. A new unary or
-# binary entry is swept without new code here unless it needs static
-# parameters (PARAMS) or a positive domain (POSITIVE); a new list entry adds
-# its cases to NARY_CASES.
+# subset of arguments live and the others passed as constants; the tape node's
+# parents must be exactly the live arguments. A new entry of arity 1 or 2 is
+# swept without new code here unless it needs static parameters (PARAMS) or a
+# positive domain (POSITIVE); a new list entry (arity None) adds its cases to
+# LIST_CASES.
 
 PARAMS = {
     "power": [(3.0,), (-0.5,)],
@@ -156,7 +156,7 @@ BINARY_SHAPES = {
 ELEMENTWISE_SHAPES = [((4, 1), (1, 3)), ((3,), (2, 3)), ((2, 3), (3,)), ((2, 3), (2, 3))]
 # (static kwargs, operand shapes) per case of each list entry; attention runs
 # 3 rows of 4 tokens of width 3: h, then wq, wk, wv, wo
-NARY_CASES = {
+LIST_CASES = {
     "cat": [({"axis": -1}, [(4, 1), (4, 3), (4, 2)]), ({"axis": 0}, [(1, 3), (2, 3), (3, 3)])],
     "attention": [({"n_tokens": 4, "qk_norm": qk_norm}, [(3, 12)] + [(3, 3)] * 4)
                   for qk_norm in (True, False)],
@@ -171,14 +171,14 @@ def _operand(rng, shape, positive):
 def _sweep_cases(name, prim):
     """(primal args, static args, static kwargs, live argument subsets) per case."""
     rng = np.random.default_rng(sorted(PRIMITIVES).index(name))
-    if isinstance(prim, Nary):
-        for kw, shapes in NARY_CASES[name]:
+    if prim.arity is None:
+        for kw, shapes in LIST_CASES[name]:
             xs = [_operand(rng, s, False) for s in shapes]
             yield xs, (), kw, [(i,) for i in range(len(xs))] + [tuple(range(len(xs)))]
         return
     for static in PARAMS.get(name, [()]):
         args, kw = (static, {}) if isinstance(static, tuple) else ((), static)
-        if isinstance(prim, Unary):
+        if prim.arity == 1:
             yield [_operand(rng, (4, 3), name in POSITIVE)], args, kw, [(0,)]
         else:
             for sa, sb in BINARY_SHAPES.get(name, ELEMENTWISE_SHAPES):
@@ -187,7 +187,7 @@ def _sweep_cases(name, prim):
 
 
 def _apply(prim, xs, args, kw):
-    if isinstance(prim, Nary):
+    if prim.arity is None:
         return prim(list(xs), *args, **kw)
     return prim(*xs, *args, **kw)
 
@@ -214,6 +214,7 @@ def test_primitive_rules(name):
             leaves = [Var(x) if v is not None else x for x, v in zip(xs, vs)]
             out = _apply(prim, leaves, args, kw)
             np.testing.assert_array_equal(out.v, plain)
+            assert [id(p) for p in out._parents] == [id(leaves[i]) for i in live]
             u = rng.standard_normal(plain.shape)
             out.backward(seed=u)
             lhs = float(np.sum(u * dual.t))

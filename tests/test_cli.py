@@ -94,6 +94,11 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     ("net", "width", 100),
     # width = 2·n_freq holds, but 36 does not split into the net's 8 tokens
     pytest.param("net", "n_tokens", {"width": 36, "n_freq": 18}, id="net-width-36-n_freq-18"),
+    ("teacher", "iters", 0),
+    ("teacher", "batch", 0),
+    ("teacher", "log_every", 0),
+    ("teacher", "weighting", 1),
+    ("distill", "batch", 0),
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):
     # section None is a top-level RunConfig key; a dict value edits several keys

@@ -200,6 +200,25 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_header_with_top_level_net_flags_loads(tmp_path):
+    # older headers also carried c_noise_scale and qk_norm outside meta; the
+    # reader rebuilds the net from meta alone and ignores those keys
+    net = tfdl.VelocityNet(3, seed=8, qk_norm=False, c_noise_scale=1000.0, zero_out=False)
+    path = tmp_path / "old.ckpt"
+    save_net(path, net, {"sigma_d": 0.5})
+    new_bytes = path.read_bytes()
+    head, payload = new_bytes.split(b"\n", 1)
+    header = json.loads(head)
+    assert "c_noise_scale" not in header and "qk_norm" not in header
+    header.update(c_noise_scale=net.c_noise_scale, qk_norm=net.qk_norm)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    loaded, meta = load_net(path)
+    np.testing.assert_array_equal(loaded.params.flat, net.params.flat)
+    assert (loaded.qk_norm, loaded.c_noise_scale) == (False, 1000.0)
+    save_net(path, loaded, meta)
+    assert path.read_bytes() == new_bytes
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_net(tmp_path / "missing.ckpt")
