@@ -13,8 +13,7 @@ import os
 import numpy as np
 
 import tfdl
-from tfdl.runio import scatter_svg
-from tfdl.toydata import dump_csv
+from tfdl.runio import scatter_svg, write_samples_csv
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
@@ -22,7 +21,7 @@ os.makedirs(OUT, exist_ok=True)
 for name in ("gauss-mix", "two-moons", "checkerboard"):
     ds = tfdl.generate(name, 8000, seed=0)
     print(f"{name:13s} n={len(ds)}  classes={ds.n_classes}  sigma_d={ds.sigma_d:.4f}")
-    dump_csv(ds, os.path.join(OUT, f"{name}.csv"))
+    write_samples_csv(os.path.join(OUT, f"{name}.csv"), ds.points, ds.labels)
     scatter_svg(os.path.join(OUT, f"{name}.svg"), ds.points, ds.labels, title=name)
 
 # the single-component configuration doubles as an analytic reference: its

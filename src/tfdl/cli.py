@@ -1,8 +1,9 @@
 """Command-line driver: pretrain, distill, sample, search-steps, eval, plot.
 
 Every subcommand reads a JSON run configuration and writes its artifacts into
-the output directory. Exit codes: 0 success, 2 usage error, 3 unreadable
-config or a missing or malformed checkpoint, 1 anything else.
+the output directory, which is created at the first write. Exit codes: 0
+success, 2 usage error, 3 unreadable config or a missing or malformed
+checkpoint, 1 anything else.
 """
 
 from __future__ import annotations
@@ -11,16 +12,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import runio
 from .distill import run_distill
 from .errors import ConfigurationError
-from .metrics import evaluate
+from .metrics import evaluate, sliced_w2
+from .net import VelocityNet
 from .sampler import default_schedule, multistep_sample, search_timesteps
 from .teacher import train_teacher
-from .toydata import dump_csv
+from .toydata import generate
 from .trigflow import TrigFlowAdapter
 
 
@@ -29,55 +32,72 @@ def _load_config(path):
         return runio.RunConfig.from_json(fh.read())
 
 
+def _out(args, name):
+    """Path of the artifact ``name``; creates the output directory on first use."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def _adapter_from_ckpt(path):
     net, meta = runio.load_net(path)
     sigma_d = meta.get("sigma_d")
     if sigma_d is None:
         raise ConfigurationError(f"malformed checkpoint {path}: no sigma_d metadata")
-    teacher_cfg = meta.get("role") == "teacher"
-    return TrigFlowAdapter(net, sigma_d, teacher_cfg=teacher_cfg), net, meta
+    return TrigFlowAdapter(net, sigma_d, teacher_cfg=meta.get("role") == "teacher")
 
 
-def _eval_labels(ds, n, rng):
-    return rng.integers(0, ds.n_classes, n)
+def _write_dataset(args, ds):
+    runio.write_samples_csv(_out(args, "dataset.csv"), ds.points, ds.labels)
+    runio.scatter_svg(_out(args, "dataset.svg"), ds.points, ds.labels,
+                      title=f"{ds.name} (n={len(ds)})")
+
+
+def _sample(cfg, args):
+    """``eval_samples`` points from the ``--ckpt`` net at ``--steps`` steps.
+
+    Returns (dataset, rng, seed, labels, points); the rng has drawn the
+    labels and the sampler's noise.
+    """
+    student = _adapter_from_ckpt(args.ckpt)
+    ds = generate(**asdict(cfg.dataset))
+    seed = args.seed if args.seed is not None else cfg.eval_seed
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, ds.n_classes, cfg.eval_samples)
+    sched = default_schedule(args.steps, student.sigma_d)
+    pts = multistep_sample(student, sched, cfg.eval_samples, y, cfg.eval_cfg_scale, rng)
+    return ds, rng, seed, y, pts
 
 
 def cmd_pretrain(cfg, args):
-    ds = runio.build_dataset(cfg)
-    net = runio.build_net(cfg, ds.n_classes, seed=cfg.teacher_seed)
+    ds = generate(**asdict(cfg.dataset))
+    net = VelocityNet(ds.n_classes, **asdict(cfg.net), seed=cfg.teacher_seed)
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.teacher_seed)
     net, curve = train_teacher(net, ds, cfg.teacher, rng)
-    out = args.out
-    runio.save_net(os.path.join(out, "teacher.ckpt"), net,
-                   {"sigma_d": ds.sigma_d, "role": "teacher"})
-    runio.write_csv(os.path.join(out, "teacher_loss.csv"), ["iter", "loss"], curve)
-    dump_csv(ds, os.path.join(out, "dataset.csv"))
-    runio.scatter_svg(os.path.join(out, "dataset.svg"), ds.points, ds.labels,
-                      title=f"{ds.name} (n={len(ds)})")
+    runio.save_net(_out(args, "teacher.ckpt"), net, {"sigma_d": ds.sigma_d, "role": "teacher"})
+    runio.write_csv(_out(args, "teacher_loss.csv"), ["iter", "loss"], curve)
+    _write_dataset(args, ds)
     print(f"teacher trained for {cfg.teacher.iters} iters; final loss {curve[-1][1]:.4f}")
     return 0
 
 
 def cmd_distill(cfg, args):
-    ds = runio.build_dataset(cfg)
-    teacher_net, meta = runio.load_net(args.ckpt)
+    ds = generate(**asdict(cfg.dataset))
+    teacher_net, _ = runio.load_net(args.ckpt)
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.distill_seed)
-    out = args.out
     every = max(1, cfg.distill.iters // 4)
 
     def on_step(state, row):
         k = state.step
         if k % every == 0:
-            runio.save_net(os.path.join(out, f"student_{k:06d}.ckpt"),
-                           state.student.inner,
+            runio.save_net(_out(args, f"student_{k:06d}.ckpt"), state.student.inner,
                            {"sigma_d": ds.sigma_d, "role": "student"})
 
     state, rows = run_distill(teacher_net, ds, cfg.distill, rng,
                               seed=cfg.distill_seed, on_step=on_step)
-    runio.save_net(os.path.join(out, "student.ckpt"), state.student.inner,
+    runio.save_net(_out(args, "student.ckpt"), state.student.inner,
                    {"sigma_d": ds.sigma_d, "role": "student"})
     header = ["iter", "scm_loss", "adv_g", "adv_d", "grad_norm", "r", "t_mean"]
-    runio.write_csv(os.path.join(out, "distill_metrics.csv"), header,
+    runio.write_csv(_out(args, "distill_metrics.csv"), header,
                     [[row[h] for h in header] for row in rows])
     print(f"distilled for {cfg.distill.iters} steps; final consistency loss "
           f"{rows[-1]['scm_loss']:.4f}")
@@ -85,29 +105,22 @@ def cmd_distill(cfg, args):
 
 
 def cmd_sample(cfg, args):
-    student, _, _ = _adapter_from_ckpt(args.ckpt)
-    ds = runio.build_dataset(cfg)
-    seed = args.seed if args.seed is not None else cfg.eval_seed
-    rng = np.random.default_rng(seed)
-    sched = default_schedule(args.steps, student.sigma_d)
-    y = _eval_labels(ds, cfg.eval_samples, rng)
-    pts = multistep_sample(student, sched, cfg.eval_samples, y, cfg.eval_cfg_scale, rng)
-    runio.write_samples_csv(os.path.join(args.out, f"samples_{args.steps}step.csv"), pts, y)
-    runio.scatter_svg(os.path.join(args.out, f"samples_{args.steps}step.svg"), pts, y,
+    _, _, _, y, pts = _sample(cfg, args)
+    runio.write_samples_csv(_out(args, f"samples_{args.steps}step.csv"), pts, y)
+    runio.scatter_svg(_out(args, f"samples_{args.steps}step.svg"), pts, y,
                       title=f"{args.steps}-step samples")
     print(f"wrote {len(pts)} samples at {args.steps} step(s)")
     return 0
 
 
 def cmd_search_steps(cfg, args):
-    student, _, _ = _adapter_from_ckpt(args.ckpt)
-    ds = runio.build_dataset(cfg)
+    student = _adapter_from_ckpt(args.ckpt)
+    ds = generate(**asdict(cfg.dataset))
     rng = np.random.default_rng(cfg.eval_seed)
     ref = ds.points[rng.integers(0, len(ds), cfg.eval_samples)]
-    y = _eval_labels(ds, cfg.eval_samples, rng)
+    y = rng.integers(0, ds.n_classes, cfg.eval_samples)
 
     def metric(samples):
-        from .metrics import sliced_w2
         return sliced_w2(samples, ref, seed=cfg.eval_seed)
 
     grid = [0.05, 0.1, 0.15] + [round(t, 2) for t in np.arange(0.2, 1.55, 0.1)]
@@ -115,25 +128,19 @@ def cmd_search_steps(cfg, args):
     sched, table = search_timesteps(student, metric, args.steps, grid,
                                     cfg.eval_samples, y, cfg.eval_cfg_scale,
                                     eval_seed=seed)
-    runio.write_csv(os.path.join(args.out, "search_table.csv"),
+    runio.write_csv(_out(args, "search_table.csv"),
                     ["step_index", "candidate_t", "metric"], table)
-    with open(os.path.join(args.out, "schedule.json"), "w") as fh:
+    with open(_out(args, "schedule.json"), "w") as fh:
         json.dump({"steps": args.steps, "times": list(sched.times)}, fh, indent=2)
     print(f"searched {args.steps}-step schedule: {[round(t, 4) for t in sched.times]}")
     return 0
 
 
 def cmd_eval(cfg, args):
-    student, _, _ = _adapter_from_ckpt(args.ckpt)
-    ds = runio.build_dataset(cfg)
-    seed = args.seed if args.seed is not None else cfg.eval_seed
-    rng = np.random.default_rng(seed)
-    y = _eval_labels(ds, cfg.eval_samples, rng)
-    sched = default_schedule(args.steps, student.sigma_d)
-    pts = multistep_sample(student, sched, cfg.eval_samples, y, cfg.eval_cfg_scale, rng)
+    ds, rng, seed, _, pts = _sample(cfg, args)
     ref = ds.points[rng.integers(0, len(ds), cfg.eval_samples)]
     report = evaluate(pts, ref, seed=seed)
-    path = os.path.join(args.out, f"eval_{args.steps}step.json")
+    path = _out(args, f"eval_{args.steps}step.json")
     with open(path, "w") as fh:
         json.dump(report.__dict__, fh, indent=2, sort_keys=True)
     print(f"sliced_w2={report.sliced_w2:.4f} mmd_rbf={report.mmd_rbf:.5f} -> {path}")
@@ -141,28 +148,34 @@ def cmd_eval(cfg, args):
 
 
 def cmd_plot(cfg, args):
-    ds = runio.build_dataset(cfg)
-    dump_csv(ds, os.path.join(args.out, "dataset.csv"))
-    runio.scatter_svg(os.path.join(args.out, "dataset.svg"), ds.points, ds.labels,
-                      title=f"{ds.name} (n={len(ds)})")
+    ds = generate(**asdict(cfg.dataset))
+    _write_dataset(args, ds)
     print(f"plotted {ds.name} to {args.out}")
     return 0
 
 
-COMMANDS = {"pretrain": cmd_pretrain, "distill": cmd_distill, "sample": cmd_sample,
-            "search-steps": cmd_search_steps, "eval": cmd_eval, "plot": cmd_plot}
+# subcommand -> (handler, the flags it reads besides --config and --out)
+COMMANDS = {"pretrain": (cmd_pretrain, ("--seed",)),
+            "distill": (cmd_distill, ("--seed", "--ckpt")),
+            "sample": (cmd_sample, ("--seed", "--ckpt", "--steps")),
+            "search-steps": (cmd_search_steps, ("--seed", "--ckpt", "--steps")),
+            "eval": (cmd_eval, ("--seed", "--ckpt", "--steps")),
+            "plot": (cmd_plot, ())}
+
+FLAGS = {"--seed": {"type": int, "default": None},
+         "--ckpt": {"required": True},
+         "--steps": {"type": int, "choices": (1, 2, 4), "default": 2}}
 
 
 def _parser():
     p = argparse.ArgumentParser(prog="tfdl")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--steps", type=int, choices=(1, 2, 4), default=2)
-        sp.add_argument("--ckpt", default=None)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
     return p
 
 
@@ -178,16 +191,9 @@ def cli(argv):
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 3
     args.out = args.out or cfg.out_dir
-    os.makedirs(args.out, exist_ok=True)
-    if args.command in ("distill", "sample", "search-steps", "eval") and not args.ckpt:
-        print("error: this subcommand requires --ckpt", file=sys.stderr)
-        return 2
     try:
-        return COMMANDS[args.command](cfg, args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigurationError as exc:
+        return COMMANDS[args.command][0](cfg, args)
+    except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary

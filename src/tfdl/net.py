@@ -27,6 +27,8 @@ for reverse-mode gradients (grad).
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass, fields, replace
+
 import numpy as np
 
 from . import autodiff as ad
@@ -38,13 +40,23 @@ _ROW_BLOCK = 512  # rows per block of a plain forward; keeps temporaries in L2
 N_TOKENS = 8       # tokens a hidden row splits into for the attention block
 
 
-def check_width(width, n_freq, n_tokens=N_TOKENS):
-    """Raise ValueError unless ``width`` fits the time embedding and the tokens."""
-    if width != 2 * n_freq:
-        raise ValueError(f"width must equal 2*n_freq so the time embedding adds "
-                         f"directly (width {width}, n_freq {n_freq})")
-    if width % n_tokens:
-        raise ValueError(f"width {width} must be divisible by n_tokens ({n_tokens})")
+@dataclass(frozen=True)
+class NetSpec:
+    """The net's hyperparameters besides its class count: the run config's
+    ``net`` section, and with ``n_classes`` a checkpoint's rebuild metadata."""
+    width: int = 128
+    depth: int = 4
+    n_freq: int = 64
+    attention: bool = True
+    qk_norm: bool = True
+    c_noise_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.width != 2 * self.n_freq:
+            raise ValueError(f"width must equal 2*n_freq so the time embedding adds "
+                             f"directly (width {self.width}, n_freq {self.n_freq})")
+        if self.width % N_TOKENS:
+            raise ValueError(f"width {self.width} must be divisible by n_tokens ({N_TOKENS})")
 
 
 def _traced(v):
@@ -66,19 +78,13 @@ def _as_vec(v, n, dtype=np.float64):
 class VelocityNet:
     """F(x, t, y, cfg) with value, forward-mode JVP, and reverse-mode gradient."""
 
-    def __init__(self, n_classes, width=128, depth=4, n_freq=64, n_tokens=N_TOKENS,
-                 attention=True, qk_norm=True, c_noise_scale=1.0, seed=0,
-                 zero_out=True):
-        check_width(width, n_freq, n_tokens)
+    def __init__(self, n_classes, width=128, depth=4, n_freq=64, attention=True,
+                 qk_norm=True, c_noise_scale=1.0, seed=0, zero_out=True):
+        self.spec = NetSpec(width, depth, n_freq, attention, qk_norm, float(c_noise_scale))
+        vars(self).update(asdict(self.spec))  # net.width, net.depth, ... as attributes
         self.n_classes = n_classes
-        self.width = width
-        self.depth = depth
-        self.n_freq = n_freq
-        self.n_tokens = n_tokens
-        self.d_token = width // n_tokens
-        self.attention = attention
-        self.qk_norm = qk_norm
-        self.c_noise_scale = float(c_noise_scale)
+        self.n_tokens = N_TOKENS
+        self.d_token = width // N_TOKENS
         self.attn_at = depth // 2
 
         segs = [("time_freq", (n_freq,)),
@@ -213,12 +219,12 @@ class VelocityNet:
 
     # -- construction helpers ---------------------------------------------
 
-    def spawn(self, c_noise_scale=None, qk_norm=None):
-        """Copy of this net, optionally with a different scale or QK-norm flag."""
-        other = VelocityNet(self.n_classes, self.width, self.depth, self.n_freq,
-                            self.n_tokens, self.attention,
-                            self.qk_norm if qk_norm is None else qk_norm,
-                            self.c_noise_scale if c_noise_scale is None else c_noise_scale)
+    def spawn(self, c_noise_scale=None):
+        """Copy of this net, optionally with a different noise scale."""
+        spec = self.spec
+        if c_noise_scale is not None:
+            spec = replace(spec, c_noise_scale=c_noise_scale)
+        other = VelocityNet(self.n_classes, **asdict(spec))
         other.params.flat[:] = self.params.flat
         return other
 
@@ -228,13 +234,9 @@ class VelocityNet:
 
     def meta(self):
         """Static hyperparameters needed to rebuild the net from a checkpoint."""
-        return {"n_classes": self.n_classes, "width": self.width,
-                "depth": self.depth, "n_freq": self.n_freq,
-                "n_tokens": self.n_tokens, "attention": self.attention,
-                "qk_norm": self.qk_norm, "c_noise_scale": self.c_noise_scale}
+        return {"n_classes": self.n_classes, **asdict(self.spec)}
 
     @classmethod
     def from_meta(cls, meta):
-        return cls(meta["n_classes"], meta["width"], meta["depth"],
-                   meta["n_freq"], meta["n_tokens"], meta["attention"],
-                   meta["qk_norm"], meta["c_noise_scale"])
+        """Rebuild from ``meta()``; other keys of ``meta`` are ignored."""
+        return cls(meta["n_classes"], **{f.name: meta[f.name] for f in fields(NetSpec)})

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Var
-from .errors import TrainingDivergence
+from .errors import NumericsError
 
 
 class ParamVector:
@@ -81,4 +81,4 @@ class Adam:
         denom += self.eps
         flat -= (self.lr / (1.0 - self.beta1 ** self.t)) * self.m / denom
         if not np.all(np.isfinite(flat)):
-            raise TrainingDivergence(self.t, "non-finite parameters or gradient")
+            raise NumericsError("non-finite parameters or gradient")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distill import DistillConfig
 from .errors import ConfigurationError
-from .net import VelocityNet, check_width
+from .net import NetSpec, VelocityNet
 from .schedule import TimestepDistribution
 from .teacher import TeacherConfig
 
@@ -32,6 +32,7 @@ PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 
 @dataclass
 class DatasetSpec:
+    """Arguments of ``toydata.generate``."""
     name: str = "gauss-mix"
     n: int = 20000
     seed: int = 0
@@ -42,19 +43,6 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"dataset n must be at least 2, not {self.n}")
-
-
-@dataclass
-class NetSpec:
-    width: int = 128
-    depth: int = 4
-    n_freq: int = 64
-    attention: bool = True
-    qk_norm: bool = True
-    c_noise_scale: float = 1.0
-
-    def __post_init__(self):
-        check_width(self.width, self.n_freq)
 
 
 @dataclass
@@ -96,21 +84,6 @@ class RunConfig:
             dd["cfg_scales"] = tuple(dd["cfg_scales"])
         d["distill"] = DistillConfig(**dd)
         return cls(**d)
-
-
-def build_net(cfg, n_classes, seed=0):
-    ns = cfg.net
-    return VelocityNet(n_classes, width=ns.width, depth=ns.depth,
-                       n_freq=ns.n_freq, attention=ns.attention,
-                       qk_norm=ns.qk_norm, c_noise_scale=ns.c_noise_scale,
-                       seed=seed)
-
-
-def build_dataset(cfg):
-    from .toydata import generate
-    ds = cfg.dataset
-    return generate(ds.name, ds.n, ds.seed, components=ds.components,
-                    comp_std=ds.comp_std, radius=ds.radius)
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -174,10 +147,17 @@ def save_net(path, net, extra_meta=None):
 
 
 def load_net(path):
-    """Rebuild a VelocityNet (and its sidecar metadata) from a checkpoint."""
+    """Rebuild a VelocityNet from a checkpoint; returns (net, sidecar metadata).
+
+    The sidecar is the header's metadata less the net's own keys, so a
+    re-save takes those from the net alone. Older headers also carry
+    ``n_tokens``; a token count other than the net's shows as a segment-shape
+    mismatch.
+    """
     header, flat = load_checkpoint(path)
     try:
-        net = VelocityNet.from_meta(header["meta"])
+        meta = header["meta"]
+        net = VelocityNet.from_meta(meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, f"cannot rebuild the net from its metadata ({exc!r})") from None
     p = net.params
@@ -185,7 +165,7 @@ def load_net(path):
             != [(n, p.shapes[n]) for n in p.names]):
         raise _malformed(path, "segment names or shapes differ from the rebuilt net")
     p.flat[:] = flat
-    return net, header["meta"]
+    return net, {k: v for k, v in meta.items() if k not in net.meta() and k != "n_tokens"}
 
 
 # -- CSV / SVG artifacts -----------------------------------------------------
@@ -197,8 +177,8 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def write_samples_csv(path, points, labels=None):
-    labels = np.zeros(len(points), dtype=int) if labels is None else labels
+def write_samples_csv(path, points, labels):
+    """Write points as ``x,y,label`` rows."""
     write_csv(path, ["x", "y", "label"],
               [[repr(float(p[0])), repr(float(p[1])), int(l)]
                for p, l in zip(points, labels)])

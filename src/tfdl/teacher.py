@@ -23,7 +23,6 @@ class TeacherConfig:
     lr_decay: str = "cosine"                   # "cosine" or "none"
     iters: int = 2000
     batch: int = 256
-    cfg_scales: tuple = (4.0, 4.5, 5.0)
     uncond_drop_prob: float = 0.1
     log_every: int = 100
 
@@ -33,8 +32,6 @@ class TeacherConfig:
                 raise ValueError(f"{key} must be at least 1, not {getattr(self, key)}")
         if self.lr_decay not in ("cosine", "none"):
             raise ValueError(f"lr_decay must be 'cosine' or 'none', not {self.lr_decay!r}")
-        if not self.cfg_scales:
-            raise ValueError("cfg_scales must be nonempty")
         if not 0.0 <= self.uncond_drop_prob <= 1.0:
             raise ValueError("uncond_drop_prob must lie in [0, 1]")
 

@@ -7,7 +7,6 @@ deviation ``sigma_d``, the scalar data scale used throughout the pipeline.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,11 +98,3 @@ def batch_arrays(batch):
     x0, y = batch
     return np.asarray(x0, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
-
-def dump_csv(ds, path):
-    """Write points as ``x,y,label`` rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "label"])
-        for (px, py), lab in zip(ds.points, ds.labels):
-            w.writerow([repr(float(px)), repr(float(py)), int(lab)])

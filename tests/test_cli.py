@@ -54,12 +54,30 @@ def test_metrics_csv_has_expected_header(run_dir):
         assert (root / "out" / f"student_{k:06d}.ckpt").exists()
 
 
-def test_missing_checkpoint_exits_3(run_dir, capsys):
-    root, cfg_path = run_dir
-    missing = str(root / "out" / "nope.ckpt")
-    code = cli(["sample", "--config", str(cfg_path), "--ckpt", missing])
+def _fresh_config(tmp_path):
+    """A default run config whose out_dir does not exist yet."""
+    d = json.loads(RunConfig().to_json())
+    d["out_dir"] = str(tmp_path / "out")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+def test_missing_checkpoint_exits_3(tmp_path, capsys):
+    missing = str(tmp_path / "nope.ckpt")
+    code = cli(["sample", "--config", str(_fresh_config(tmp_path)), "--ckpt", missing])
     assert code == 3
     assert missing in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# a missing --ckpt, or a flag the subcommand does not read
+@pytest.mark.parametrize("argv", [["sample"], ["pretrain", "--ckpt", "x"], ["plot", "--seed", "1"],
+                                  ["distill", "--ckpt", "x", "--steps", "1"]],
+                         ids=["sample", "pretrain-ckpt", "plot-seed", "distill-steps"])
+def test_usage_error_exits_2_and_writes_nothing(tmp_path, argv):
+    assert cli(argv + ["--config", str(_fresh_config(tmp_path))]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_subcommand_exits_2():
@@ -98,6 +116,7 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     ("teacher", "batch", 0),
     ("teacher", "log_every", 0),
     ("teacher", "weighting", 1),
+    ("teacher", "cfg_scales", [4.0]),
     ("distill", "batch", 0),
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):

@@ -8,7 +8,8 @@ import pytest
 import tfdl
 from tfdl.errors import ConfigurationError
 from tfdl.metrics import _MMD_TILE, _sliced_w2_dirs, mmd_rbf, sliced_w2
-from tfdl.runio import RunConfig, load_net, save_net
+from tfdl.optim import ParamVector
+from tfdl.runio import RunConfig, load_net, save_net, save_params
 
 
 def test_sliced_w2_identical_multisets():
@@ -201,8 +202,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 
 def test_checkpoint_header_with_top_level_net_flags_loads(tmp_path):
-    # older headers also carried c_noise_scale and qk_norm outside meta; the
-    # reader rebuilds the net from meta alone and ignores those keys
+    # older headers also carried c_noise_scale and qk_norm outside meta, and
+    # n_tokens inside it; the reader rebuilds the net from the NetSpec keys of
+    # meta alone, and a re-save drops the old keys
     net = tfdl.VelocityNet(3, seed=8, qk_norm=False, c_noise_scale=1000.0, zero_out=False)
     path = tmp_path / "old.ckpt"
     save_net(path, net, {"sigma_d": 0.5})
@@ -210,13 +212,28 @@ def test_checkpoint_header_with_top_level_net_flags_loads(tmp_path):
     head, payload = new_bytes.split(b"\n", 1)
     header = json.loads(head)
     assert "c_noise_scale" not in header and "qk_norm" not in header
+    assert "n_tokens" not in header["meta"]
     header.update(c_noise_scale=net.c_noise_scale, qk_norm=net.qk_norm)
+    header["meta"]["n_tokens"] = net.n_tokens
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
     loaded, meta = load_net(path)
     np.testing.assert_array_equal(loaded.params.flat, net.params.flat)
     assert (loaded.qk_norm, loaded.c_noise_scale) == (False, 1000.0)
+    assert meta == {"sigma_d": 0.5}
     save_net(path, loaded, meta)
     assert path.read_bytes() == new_bytes
+
+
+def test_checkpoint_with_other_token_count_is_rejected(tmp_path):
+    # an older header that spelled n_tokens = 4 has 32x32 attention weights,
+    # which the net rebuilt with N_TOKENS = 8 does not
+    net = tfdl.VelocityNet(3, seed=8)
+    segs = [(name, (32, 32) if name.startswith("attn_") else net.params.shapes[name])
+            for name in net.params.names]
+    path = tmp_path / "tokens4.ckpt"
+    save_params(path, ParamVector(segs), meta={**net.meta(), "n_tokens": 4, "sigma_d": 0.5})
+    with pytest.raises(ConfigurationError, match="segment names or shapes"):
+        load_net(path)
 
 
 def test_checkpoint_missing_file(tmp_path):

@@ -85,11 +85,17 @@ def test_train_teacher_rejects_zero_iters(small_ds):
 
 
 def test_train_teacher_divergence_reports_iteration(small_ds):
-    net = tfdl.VelocityNet(small_ds.n_classes, seed=4)
-    cfg = tfdl.TeacherConfig(iters=5, lr=1e30)  # forced blow-up
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDivergence):
-            train_teacher(net, small_ds, cfg, np.random.default_rng(1))
+    # forced blow-ups: at lr 1e30 the loss overflows at iteration 2; at an
+    # infinite lr Adam's first update is already non-finite
+    for lr, iteration in [(1e30, 2), (float("inf"), 0)]:
+        net = tfdl.VelocityNet(small_ds.n_classes, seed=4)
+        cfg = tfdl.TeacherConfig(iters=5, lr=lr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergence) as err:
+                train_teacher(net, small_ds, cfg, np.random.default_rng(1))
+        # the loop names its own iteration, once; Adam adds no count of its own
+        assert err.value.iteration == iteration
+        assert str(err.value).count("diverged") == 1
 
 
 def test_train_teacher_deterministic(small_ds, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import tfdl
 from tfdl.errors import ConfigurationError, StateError
-from tfdl.toydata import dump_csv
+from tfdl.runio import write_samples_csv
 
 
 def test_single_gaussian_sigma_d_converges():
@@ -72,7 +72,7 @@ def test_minibatch_validations(gauss_ds):
 
 def test_csv_dump_roundtrips(tmp_path, gauss_ds):
     path = tmp_path / "pts.csv"
-    dump_csv(gauss_ds, path)
+    write_samples_csv(path, gauss_ds.points, gauss_ds.labels)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "x,y,label"
     assert len(rows) == len(gauss_ds) + 1
