@@ -37,18 +37,16 @@ def _pin_heap():
 
 _pin_heap()
 
-from .distill import (AdaptiveWeight, DiscriminatorHeads, DistillConfig,
-                      DistillState, disc_loss, distill_step, gen_adv_loss,
-                      init_distill, one_step_generate, run_distill, scm_loss,
-                      scm_tangent)
-from .metrics import MetricReport, evaluate, mmd_rbf, sliced_w2
+from .distill import DistillConfig, disc_loss, distill_step, gen_adv_loss, run_distill, scm_loss
+from .metrics import sliced_w2
 from .net import VelocityNet
-from .sampler import StepSchedule, default_schedule, multistep_sample, search_timesteps
-from .schedule import (Schedule, TimestepDistribution, flow_matching,
-                       perturb, sample_t, snr, trigflow)
-from .teacher import TeacherConfig, cfg_velocity, euler_sample_fm, fm_loss, train_teacher
+from .sampler import default_schedule, multistep_sample
+from .teacher import TeacherConfig, train_teacher
 from .toydata import Dataset, generate, minibatch_arrays
-from .trigflow import TrigFlowAdapter, euler_sample_trig, scale_factor, t_fm_of
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names reached as tfdl.<name> by the README tour, the demos and the tests;
+# everything else is imported from its module (tfdl.schedule, tfdl.trigflow, ...)
+__all__ = ["Dataset", "DistillConfig", "TeacherConfig", "VelocityNet", "default_schedule",
+           "disc_loss", "distill_step", "gen_adv_loss", "generate", "minibatch_arrays",
+           "multistep_sample", "run_distill", "scm_loss", "sliced_w2", "train_teacher"]
 __version__ = "0.1.0"

@@ -43,10 +43,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Dual", "Var", "PRIMITIVES", "primal", "sin", "cos", "exp", "log", "sqrt",
-    "tanh", "relu", "silu", "softmax", "neg", "power", "vsum", "vmean",
-    "reshape", "swap_last", "take_rows", "add", "sub", "mul", "div", "matmul",
-    "cat", "attention",
+    "Dual", "Var", "PRIMITIVES", "primal", "sin", "cos", "exp", "sqrt", "relu",
+    "silu", "softmax", "neg", "power", "vsum", "vmean", "reshape", "swap_last",
+    "take_rows", "add", "sub", "mul", "div", "matmul", "cat", "attention",
 ]
 
 PRIMITIVES = {}
@@ -429,9 +428,7 @@ def _attention_vjp(g, xs, res, live, n_tokens, qk_norm):
 sin = Prim("sin", np.sin, lambda t, x, r: t * np.cos(x))
 cos = Prim("cos", np.cos, lambda t, x, r: -t * np.sin(x))
 exp = Prim("exp", np.exp, lambda t, x, e: t * e)
-log = Prim("log", np.log, lambda t, x, r: t / x)
 sqrt = Prim("sqrt", np.sqrt, lambda t, x, y: 0.5 * t / y)
-tanh = Prim("tanh", np.tanh, lambda t, x, y: t * (1.0 - y * y))
 relu = Prim("relu", lambda x: np.maximum(x, 0.0), lambda t, x, r: np.where(x > 0, t, 0.0))
 silu = Prim("silu", _silu, lambda t, x, s: t * (s * (1.0 + x * (1.0 - s))),
             fwd=_silu_fwd)

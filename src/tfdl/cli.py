@@ -2,8 +2,9 @@
 
 Every subcommand reads a JSON run configuration and writes its artifacts into
 the output directory, which is created at the first write. Exit codes: 0
-success, 2 usage error, 3 unreadable config or a missing or malformed
-checkpoint, 1 anything else.
+success, 2 usage error, 3 unreadable config or a missing, malformed or
+mismatched checkpoint (made for another dataset, or a student given to
+``distill``), 1 anything else.
 """
 
 from __future__ import annotations
@@ -38,12 +39,22 @@ def _out(args, name):
     return os.path.join(args.out, name)
 
 
-def _adapter_from_ckpt(path):
+def _load_checked(path, ds, role=None):
+    """(net, role) of checkpoint ``path`` after checking that it was made for
+    the dataset ``ds`` (its sigma_d and class count) and, if given, has ``role``."""
     net, meta = runio.load_net(path)
-    sigma_d = meta.get("sigma_d")
-    if sigma_d is None:
-        raise ConfigurationError(f"malformed checkpoint {path}: no sigma_d metadata")
-    return TrigFlowAdapter(net, sigma_d, teacher_cfg=meta.get("role") == "teacher")
+    checks = (("role", meta.get("role"), role), ("sigma_d", meta.get("sigma_d"), ds.sigma_d),
+              ("n_classes", net.n_classes, ds.n_classes))
+    bad = [f"{key} {got!r} (expected {want!r})" for key, got, want in checks
+           if want is not None and got != want]
+    if bad:
+        raise ConfigurationError(f"checkpoint {path} does not fit this run: {', '.join(bad)}")
+    return net, meta.get("role")
+
+
+def _adapter_from_ckpt(path, ds):
+    net, role = _load_checked(path, ds)
+    return TrigFlowAdapter(net, ds.sigma_d, teacher_cfg=role == "teacher")
 
 
 def _write_dataset(args, ds):
@@ -58,8 +69,8 @@ def _sample(cfg, args):
     Returns (dataset, rng, seed, labels, points); the rng has drawn the
     labels and the sampler's noise.
     """
-    student = _adapter_from_ckpt(args.ckpt)
     ds = generate(**asdict(cfg.dataset))
+    student = _adapter_from_ckpt(args.ckpt, ds)
     seed = args.seed if args.seed is not None else cfg.eval_seed
     rng = np.random.default_rng(seed)
     y = rng.integers(0, ds.n_classes, cfg.eval_samples)
@@ -82,7 +93,7 @@ def cmd_pretrain(cfg, args):
 
 def cmd_distill(cfg, args):
     ds = generate(**asdict(cfg.dataset))
-    teacher_net, _ = runio.load_net(args.ckpt)
+    teacher_net, _ = _load_checked(args.ckpt, ds, role="teacher")
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.distill_seed)
     every = max(1, cfg.distill.iters // 4)
 
@@ -114,8 +125,8 @@ def cmd_sample(cfg, args):
 
 
 def cmd_search_steps(cfg, args):
-    student = _adapter_from_ckpt(args.ckpt)
     ds = generate(**asdict(cfg.dataset))
+    student = _adapter_from_ckpt(args.ckpt, ds)
     rng = np.random.default_rng(cfg.eval_seed)
     ref = ds.points[rng.integers(0, len(ds), cfg.eval_samples)]
     y = rng.integers(0, ds.n_classes, cfg.eval_samples)

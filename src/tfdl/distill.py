@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Dual, exp as vexp, primal, relu, reshape, silu, vmean, vsum
-from .errors import DomainError, NumericsError, TrainingDivergence
+from .errors import NumericsError, TrainingDivergence
 from .optim import Adam, ParamVector
-from .schedule import HALF_PI, TimestepDistribution, mix_max_time, sample_t
+from .schedule import TimestepDistribution, mix_max_time, sample_t, trig_perturb
 from .toydata import batch_arrays, minibatch_arrays
 from .trigflow import TrigFlowAdapter
 
@@ -41,9 +41,8 @@ class DistillConfig:
     iters: int = 4000
     batch: int = 96
     lambda_adv: float = 0.5
-    # tangent ramp length in half-steps: r = min(1, (2·step + 1) / warmup_H), so r
-    # reaches 1 after about warmup_H / 2 full steps
-    warmup_H: int = 1000
+    # tangent ramp length in steps: r = min(1, (step + 0.5) / warmup_steps)
+    warmup_steps: int = 500
     tangent_c: float = 0.1
     gen_tdist: TimestepDistribution = field(
         default_factory=lambda: TimestepDistribution(0.0, 1.6, None, 0.5))
@@ -62,8 +61,8 @@ class DistillConfig:
             raise ValueError("cfg_scales must be non-empty and finite")
         if self.lambda_adv < 0:
             raise ValueError("lambda_adv must be non-negative")
-        if self.warmup_H < 1:
-            raise ValueError("warmup_H must be at least 1")
+        if self.warmup_steps < 1:
+            raise ValueError(f"warmup_steps must be at least 1, not {self.warmup_steps}")
         if self.tangent_c <= 0:
             raise ValueError("tangent_c must be positive")
         if not self.use_scm and self.lambda_adv == 0:
@@ -187,11 +186,6 @@ def draw(state, batch, rng, cfg_scales, adversarial=True):
     return StepDraws(x0, y, z, t, cfg, t_gan, sample_t(state.disc_tdist, rng, b))
 
 
-def _perturb(x0, z, t):
-    """Trig-schedule noisy point cos(t) x0 + sin(t) z, one time per row."""
-    return np.cos(t)[:, None] * x0 + np.sin(t)[:, None] * z
-
-
 # -- consistency branch ------------------------------------------------------
 
 def _tangent_and_value(state, x_t, t, y, cfg, r, tangent_c):
@@ -207,34 +201,20 @@ def _tangent_and_value(state, x_t, t, y, cfg, r, tangent_c):
     return g / (np.linalg.norm(g, axis=1, keepdims=True) + tangent_c), f_sg
 
 
-def scm_tangent(state, x_t, t, y, cfg, r, tangent_c=0.1):
-    """Per-sample normalized tangent target for the consistency loss."""
-    x_t, t = np.asarray(x_t, dtype=np.float64), np.asarray(t, dtype=np.float64)
-    return _tangent_and_value(state, x_t, t, np.asarray(y), cfg, r, tangent_c)[0]
-
-
 def scm_target(state, d, r, tangent_c):
     """Stop-gradient target (g, f_sg) of the consistency loss at draws ``d``."""
-    return _tangent_and_value(state, _perturb(d.x0, d.z, d.t), d.t, d.y, d.cfg, r, tangent_c)
+    return _tangent_and_value(state, trig_perturb(d.x0, d.z, d.t), d.t, d.y, d.cfg, r, tangent_c)
 
 
 def scm_objective(state, d, target, student_leaves=None, wphi_leaves=None):
     """Consistency loss at draws ``d``; the target (g, f_sg) enters as a constant."""
     g, f_sg = target
-    f_live = state.student.velocity(_perturb(d.x0, d.z, d.t), d.t, d.y, cfg=d.cfg,
+    f_live = state.student.velocity(trig_perturb(d.x0, d.z, d.t), d.t, d.y, cfg=d.cfg,
                                     params=student_leaves)
     w = state.wphi.forward(d.t, params=wphi_leaves)
     resid = f_live - (f_sg + g)
     per = vexp(w) * (1.0 / DATA_DIM) * vsum(resid * resid, axis=1) - w
     return vmean(per)
-
-
-def one_step_generate(state, x_t, t, y, cfg=None):
-    """Student's solution-point prediction; t must lie in (0, pi/2]."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t <= 0) or np.any(t > HALF_PI):
-        raise DomainError("one-step generation needs t in (0, pi/2]")
-    return np.asarray(state.student.consistency(x_t, t, y, cfg=cfg))
 
 
 # -- adversarial branch ------------------------------------------------------
@@ -257,7 +237,7 @@ def hinge_gen(fake_scores):
 
 def _fake_clean(state, d, student_leaves=None):
     """Generated clean points from data renoised to t_gan; tape-mode iff leaves given."""
-    return state.student.consistency(_perturb(d.x0, d.z, d.t_gan), d.t_gan, d.y,
+    return state.student.consistency(trig_perturb(d.x0, d.z, d.t_gan), d.t_gan, d.y,
                                      cfg=d.cfg, params=student_leaves)
 
 
@@ -266,7 +246,7 @@ def disc_objective(state, d, head_leaves=None):
     xhat0 = np.asarray(_fake_clean(state, d))
     # one doubled teacher pass covers both the real and the generated batch
     both = state.teacher.features(
-        np.concatenate([_perturb(d.x0, d.z, d.s), _perturb(xhat0, d.z, d.s)]),
+        np.concatenate([trig_perturb(d.x0, d.z, d.s), trig_perturb(xhat0, d.z, d.s)]),
         np.concatenate([d.s, d.s]), np.concatenate([d.y, d.y]))
     n = len(d.x0)
     return hinge_disc(state.heads.scores([f[:n] for f in both], params=head_leaves),
@@ -276,7 +256,7 @@ def disc_objective(state, d, head_leaves=None):
 def adv_objective(state, d, student_leaves=None):
     """Generator hinge term: negative mean head score on generated points."""
     xhat0 = _fake_clean(state, d, student_leaves)
-    return hinge_gen(state.heads.scores(state.teacher.features(_perturb(xhat0, d.z, d.s),
+    return hinge_gen(state.heads.scores(state.teacher.features(trig_perturb(xhat0, d.z, d.s),
                                                                d.s, d.y)))
 
 
@@ -318,7 +298,7 @@ def _generator_objective(state, config, d, target, student_leaves=None, wphi_lea
 def distill_step(state, config, ds, rng):
     """One discriminator update followed by one generator update."""
     adversarial = config.lambda_adv > 0
-    r = min(1.0, (2 * state.step + 1) / config.warmup_H)
+    r = min(1.0, (state.step + 0.5) / config.warmup_steps)
     metrics = {"iter": state.step, "adv_d": 0.0}
     try:
         if adversarial:

@@ -22,7 +22,7 @@ forward that carries a ``Dual`` or ``Var`` run as one pass.
 
 The same forward code runs in three modes: plain ndarrays for inference,
 ``Dual`` arrays for exact forward-mode tangents (jvp), and tape ``Var`` leaves
-for reverse-mode gradients (grad).
+for reverse-mode gradients (value_and_grad).
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def _as_batch(x):
     return x.reshape(1, -1) if x.ndim == 1 else x
 
 
-def _as_vec(v, n, dtype=np.float64):
+def broadcast_rows(v, n, dtype=np.float64):
+    """``v`` as one value per row of an ``n``-row batch: a scalar is repeated,
+    an array passes through (labels take ``dtype=np.int64``)."""
     v = np.asarray(v, dtype=dtype)
-    if v.ndim == 0:
-        v = np.full(n, v, dtype=dtype)
-    return v
+    return np.full(n, v, dtype=dtype) if v.ndim == 0 else v
 
 
 class VelocityNet:
@@ -158,10 +158,10 @@ class VelocityNet:
             x = _as_batch(x)
         n = primal(x).shape[0]
         if not _traced(t):
-            t = _as_vec(t, n)
-        y = _as_vec(y, n, dtype=np.int64)
+            t = broadcast_rows(t, n)
+        y = broadcast_rows(y, n, np.int64)
         if not _traced(cfg):
-            cfg = _as_vec(0.0 if cfg is None else cfg, n)
+            cfg = broadcast_rows(0.0 if cfg is None else cfg, n)
         if not (np.all(np.isfinite(primal(x))) and np.all(np.isfinite(primal(t)))
                 and np.all(np.isfinite(primal(cfg)))):
             raise NumericsError("non-finite network input")
@@ -207,10 +207,6 @@ class VelocityNet:
         loss.backward()
         return float(loss.v), self.params.gradient_from(leaves)
 
-    def grad(self, loss_fn):
-        """Flat reverse-mode gradient of a scalar loss over all parameters."""
-        return self.value_and_grad(loss_fn)[1]
-
     def time_embed_sensitivity(self, t):
         """Norm of the time-embedding derivative d emb(c_noise(t))/dt."""
         td = Dual(np.asarray([t], dtype=np.float64), np.ones(1))
@@ -227,10 +223,6 @@ class VelocityNet:
         other = VelocityNet(self.n_classes, **asdict(spec))
         other.params.flat[:] = self.params.flat
         return other
-
-    @property
-    def null_class(self):
-        return self.n_classes
 
     def meta(self):
         """Static hyperparameters needed to rebuild the net from a checkpoint."""

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .schedule import HALF_PI
+from .net import broadcast_rows
+from .schedule import HALF_PI, trig_perturb
 
 TMAX_N_GRID = (50.0, 100.0, 200.0, 400.0)
 
@@ -56,18 +57,14 @@ def _step(student, x, t, y, cfg, z=None):
     """Renoise prediction ``x`` to time ``t`` with ``z`` (none on the first
     step, where ``x`` is the initial noise), then predict the solution point."""
     if z is not None:
-        x = np.cos(t) * x + np.sin(t) * z
+        x = trig_perturb(x, z, t)
     return np.asarray(student.consistency(x, np.full(len(x), t), y, cfg=cfg))
-
-
-def _labels(y, n):
-    return np.full(n, y, dtype=np.int64) if np.ndim(y) == 0 else np.asarray(y, dtype=np.int64)
 
 
 def multistep_sample(student, sched, n, y, cfg, rng):
     """Alternate solution prediction and renoising along the schedule."""
     sd = student.sigma_d
-    y = _labels(y, n)
+    y = broadcast_rows(y, n, np.int64)
     x = sd * rng.standard_normal((n, 2))
     for i, t in enumerate(sched.times[:-1]):
         z = sd * rng.standard_normal((n, 2)) if i else None
@@ -104,7 +101,7 @@ def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg,
     if not tmax_cands:
         raise ConfigurationError(f"a {steps}-step search needs {steps - 1} positive grid "
                                  "points below the largest maximum time")
-    y = _labels(y, n_eval)
+    y = broadcast_rows(y, n_eval, np.int64)
     rng = np.random.default_rng(eval_seed)
     table, times = [], []
 

@@ -1,10 +1,15 @@
 """Noise-schedule families and training-time distributions.
 
-Two interpolation schemes between clean data and Gaussian noise:
+Two interpolation schemes between clean data and Gaussian noise, each one
+plain function that the pipeline calls:
 
-* flow-matching  — alpha = 1 - t, sigma = t on [0, 1]
-* trigflow       — alpha = cos t, sigma = sin t on [0, pi/2], noise scaled
-                   by the data standard deviation sigma_d
+* flow-matching  — ``fm_perturb``: (1 - t) x0 + t z on [0, 1]
+* trigflow       — ``trig_perturb``: cos t x0 + sin t z on [0, pi/2]
+
+Neither scales the noise: TrigFlow noise has the data standard deviation
+sigma_d because the callers (``distill.draw``, ``multistep_sample``) pass
+sigma_d·z. A ``Schedule`` adds the alpha/sigma maps, the time domain and, for
+trigflow, sigma_d; ``perturb`` checks the domain before it interpolates.
 
 All times are float64.
 """
@@ -16,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .autodiff import primal
 from .errors import DomainError
 
 HALF_PI = np.pi / 2
@@ -47,19 +53,31 @@ def _check_domain(sched, t):
     return t
 
 
+def _rows(c, x):
+    """Coefficient ``c`` of a per-row time, with a trailing axis when ``x`` (an
+    array, ``Dual`` or ``Var``) has more dimensions, so each row of ``x`` is
+    scaled by its own value."""
+    return c[..., None] if 0 < np.ndim(c) < primal(x).ndim else c
+
+
+def fm_perturb(x0, z, t):
+    """Flow-matching noisy point (1 - t) x0 + t z; ``t`` a scalar or one per row."""
+    return _rows(1.0 - t, x0) * x0 + _rows(t, x0) * z
+
+
+def trig_perturb(x0, z, t):
+    """TrigFlow noisy point cos(t) x0 + sin(t) z; ``t`` a scalar or one per row."""
+    return _rows(np.cos(t), x0) * x0 + _rows(np.sin(t), x0) * z
+
+
 def perturb(sched, x0, z, t):
-    """Noisy point alpha(t)*x0 + sigma(t)*z."""
+    """Noisy point alpha(t)*x0 + sigma(t)*z, with ``t`` checked against the domain."""
     t = _check_domain(sched, t)
     x0 = np.asarray(x0, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if x0.shape != z.shape:
         raise ValueError("x0 and z shapes differ")
-    a = np.asarray(sched.alpha(t))
-    s = np.asarray(sched.sigma(t))
-    if x0.ndim > a.ndim:
-        a = a[..., None]
-        s = s[..., None]
-    return a * x0 + s * z
+    return (trig_perturb if sched.family == "trigflow" else fm_perturb)(x0, z, t)
 
 
 def snr(sched, t):

@@ -1,4 +1,4 @@
-"""Flow-matching teacher: pretraining, guided velocity, and Euler sampling.
+"""Flow-matching teacher: pretraining, guided velocity, and the Euler loop.
 
 The teacher is trained on data standardized to unit scale (points divided by
 the dataset's sigma_d); the TrigFlow-side bookkeeping lives in the adapter
@@ -13,7 +13,9 @@ import numpy as np
 
 from .autodiff import vmean, vsum
 from .errors import NumericsError, TrainingDivergence
+from .net import broadcast_rows
 from .optim import Adam
+from .schedule import fm_perturb
 from .toydata import batch_arrays, minibatch_arrays
 
 
@@ -38,8 +40,7 @@ class TeacherConfig:
 
 def _fm_objective(net, params, x0, y, t, z):
     """Mean of ||v(x_t, t, y) - (z - x0)||^2 in any evaluation mode."""
-    x_t = (1.0 - t)[:, None] * x0 + t[:, None] * z
-    v = net.forward(x_t, t, y, cfg=0.0, params=params)
+    v = net.forward(fm_perturb(x0, z, t), t, y, cfg=0.0, params=params)
     target = z - x0
     return vmean(vsum((v - target) * (v - target), axis=1))
 
@@ -108,21 +109,30 @@ def cfg_velocity(net, x, t, y, scale, params=None):
     return v_u + (v_c - v_u) * s
 
 
+def euler_integrate(velocity, n, y, t_start, steps, sigma_d, rng):
+    """Euler-integrate dx/dt = sigma_d * velocity(x, t, y) from t_start down to 0.
+
+    The grid is uniform with ``steps`` steps and the initial state is
+    ``sigma_d`` times standard Gaussian noise.
+    """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    x = sigma_d * rng.standard_normal((n, 2))
+    y = broadcast_rows(y, n, np.int64)
+    ts = np.linspace(t_start, 0.0, steps + 1)
+    for i in range(steps):
+        v = velocity(x, np.full(n, ts[i]), y)
+        x = x + ((ts[i + 1] - ts[i]) * sigma_d) * np.asarray(v)
+        if not np.all(np.isfinite(x)):
+            raise NumericsError(f"non-finite state at Euler step {i}")
+    return x
+
+
 def euler_sample_fm(net, n, steps, y, scale, rng):
     """Euler-integrate the flow ODE from t=1 down to 0 on a uniform grid.
 
     Works in the teacher's standardized space: the initial state is standard
     Gaussian and outputs carry unit data scale.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    x = rng.standard_normal((n, 2))
-    y = np.full(n, y, dtype=np.int64) if np.ndim(y) == 0 else np.asarray(y, dtype=np.int64)
-    ts = np.linspace(1.0, 0.0, steps + 1)
-    for i in range(steps):
-        t = np.full(n, ts[i])
-        v = cfg_velocity(net, x, t, y, scale)
-        x = x + (ts[i + 1] - ts[i]) * np.asarray(v)
-        if not np.all(np.isfinite(x)):
-            raise NumericsError(f"non-finite state at Euler step {i}")
-    return x
+    return euler_integrate(lambda x, t, y: cfg_velocity(net, x, t, y, scale),
+                           n, y, 1.0, steps, 1.0, rng)

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import primal, reshape, sqrt
-from .errors import DomainError, NumericsError
+from .errors import DomainError
 from .schedule import HALF_PI
-from .teacher import cfg_velocity
+from .teacher import cfg_velocity, euler_integrate
 
 
 def _check_trig_domain(t):
@@ -91,15 +91,5 @@ class TrigFlowAdapter:
 
 def euler_sample_trig(adapter, n, steps, y, cfg, rng):
     """Euler-integrate the trig-schedule ODE from t=pi/2 down to 0."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    x = adapter.sigma_d * rng.standard_normal((n, 2))
-    y = np.full(n, y, dtype=np.int64) if np.ndim(y) == 0 else np.asarray(y, dtype=np.int64)
-    ts = np.linspace(HALF_PI, 0.0, steps + 1)
-    for i in range(steps):
-        t = np.full(n, ts[i])
-        v = adapter.velocity(x, t, y, cfg=cfg)
-        x = x + (ts[i + 1] - ts[i]) * adapter.sigma_d * np.asarray(v)
-        if not np.all(np.isfinite(x)):
-            raise NumericsError(f"non-finite state at Euler step {i}")
-    return x
+    return euler_integrate(lambda x, t, y: adapter.velocity(x, t, y, cfg=cfg),
+                           n, y, HALF_PI, steps, adapter.sigma_d, rng)

@@ -1,10 +1,12 @@
 """Forward-mode and reverse-mode engine checks against finite differences."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from tfdl.autodiff import (PRIMITIVES, Dual, Var, cat, cos, exp, log, relu, reshape, silu,
-                           sin, softmax, sqrt, take_rows, tanh, vmean, vsum)
+from tfdl.autodiff import (PRIMITIVES, Dual, Var, cat, cos, exp, relu, reshape, silu, sin,
+                           softmax, sqrt, take_rows, vmean, vsum)
 
 
 def test_dual_product_rule_t_times_x():
@@ -29,8 +31,7 @@ def test_dual_zero_tangent_stays_zero():
 
 @pytest.mark.parametrize("op", [
     lambda a: sin(a), lambda a: cos(a), lambda a: exp(a),
-    lambda a: log(a * a + 0.5), lambda a: sqrt(a * a + 0.1),
-    lambda a: tanh(a), lambda a: silu(a), lambda a: relu(a),
+    lambda a: sqrt(a * a + 0.1), lambda a: silu(a), lambda a: relu(a),
     lambda a: softmax(a, axis=-1), lambda a: a ** 3.0,
 ])
 def test_dual_matches_finite_differences(op):
@@ -149,7 +150,7 @@ PARAMS = {
     "reshape": [((-1,),), ((2, 6),), ((3, 4, 1),)],
     "take_rows": [(np.array([3, 0, 3, 1, 2]),)],
 }
-POSITIVE = {"log", "sqrt", "power"}
+POSITIVE = {"sqrt", "power"}
 BINARY_SHAPES = {
     "matmul": [((4, 3), (3, 2)), ((2, 4, 3), (3, 2)), ((4, 3), (2, 3, 2))],
 }
@@ -170,7 +171,9 @@ def _operand(rng, shape, positive):
 
 def _sweep_cases(name, prim):
     """(primal args, static args, static kwargs, live argument subsets) per case."""
-    rng = np.random.default_rng(sorted(PRIMITIVES).index(name))
+    # seeded by the entry's own name, so adding or deleting an entry leaves the
+    # operands of every other entry unchanged
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     if prim.arity is None:
         for kw, shapes in LIST_CASES[name]:
             xs = [_operand(rng, s, False) for s in shapes]

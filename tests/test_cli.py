@@ -118,6 +118,9 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     ("teacher", "weighting", 1),
     ("teacher", "cfg_scales", [4.0]),
     ("distill", "batch", 0),
+    # the ramp length is warmup_steps; the old half-step key is unknown
+    ("distill", "warmup_H", 1000),
+    ("distill", "warmup_steps", 0),
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):
     # section None is a top-level RunConfig key; a dict value edits several keys
@@ -129,6 +132,32 @@ def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value
     bad.write_text(json.dumps(d))
     assert cli(["plot", "--config", str(bad)]) == 3
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# (command, checkpoint in the run directory, dataset of the config, mismatched keys)
+@pytest.mark.parametrize("command, ckpt, dataset, keys", [
+    ("distill", "student.ckpt", "gauss-mix", ["role"]),
+    ("distill", "teacher.ckpt", "two-moons", ["sigma_d", "n_classes"]),
+    ("sample", "teacher.ckpt", "two-moons", ["sigma_d", "n_classes"]),
+    ("search-steps", "teacher.ckpt", "two-moons", ["sigma_d", "n_classes"]),
+    ("eval", "teacher.ckpt", "two-moons", ["sigma_d", "n_classes"]),
+], ids=["distill-student", "distill-two-moons", "sample-two-moons", "search-steps-two-moons",
+        "eval-two-moons"])
+def test_mismatched_checkpoint_exits_3(run_dir, tmp_path, capsys, command, ckpt, dataset,
+                                       keys):
+    # the run directory holds a gauss-mix teacher and the student distilled from it
+    root, cfg_path = run_dir
+    d = json.loads(cfg_path.read_text())
+    d["dataset"]["name"] = dataset
+    d["out_dir"] = str(tmp_path / "out")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert cli([command, "--config", str(path), "--ckpt", str(root / "out" / ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert str(root / "out" / ckpt) in err
+    assert all(key in err for key in keys)
     assert not (tmp_path / "out").exists()
 
 

@@ -1,13 +1,19 @@
-"""The demos' names from tfdl resolve, checked without running the demos."""
+"""The demos' and the README's names from tfdl resolve, checked without running
+them, and the package's public surface holds no modules."""
 
 import ast
 import importlib
 import importlib.util
+import re
+import types
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+import tfdl
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _tfdl_names(tree):
@@ -34,5 +40,19 @@ def test_every_demo_is_checked():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_resolve(path):
     names = set(_tfdl_names(ast.parse(path.read_text(), filename=str(path))))
+    assert names
+    assert [f"{m}.{n}" for m, n in sorted(names) if not _resolves(m, n)] == []
+
+
+def test_public_names_resolve_and_are_not_modules():
+    assert tfdl.__all__
+    assert [name for name in tfdl.__all__ if not hasattr(tfdl, name)] == []
+    assert [name for name in tfdl.__all__
+            if isinstance(getattr(tfdl, name), types.ModuleType)] == []
+
+
+def test_readme_python_names_resolve():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    names = {pair for block in blocks for pair in _tfdl_names(ast.parse(block))}
     assert names
     assert [f"{m}.{n}" for m, n in sorted(names) if not _resolves(m, n)] == []

@@ -11,10 +11,9 @@ import pytest
 
 import tfdl
 from conftest import AnalyticGaussianFM
-from tfdl.distill import (DistillConfig, _generator_objective, draw, hinge_disc,
-                          hinge_gen, init_distill, one_step_generate,
-                          scm_objective, scm_target, scm_tangent)
-from tfdl.errors import DomainError, TrainingDivergence
+from tfdl.distill import (DistillConfig, _generator_objective, _tangent_and_value, draw,
+                          hinge_disc, hinge_gen, init_distill, scm_objective, scm_target)
+from tfdl.errors import TrainingDivergence
 from tfdl.schedule import HALF_PI, TimestepDistribution, mix_max_time
 from tfdl.toydata import minibatch_arrays
 from tfdl.trigflow import TrigFlowAdapter
@@ -38,7 +37,7 @@ def test_tangent_warmup_start_has_no_jvp_term():
     x_t = rng.standard_normal((8, 2))
     t = rng.uniform(0.2, 1.2, 8)
     y = np.zeros(8, dtype=int)
-    g = scm_tangent(state, x_t, t, y, 1.0, r=0.0, tangent_c=0.1)
+    g = _tangent_and_value(state, x_t, t, y, 1.0, r=0.0, tangent_c=0.1)[0]
     # analytic stub: F == 0 and dx/dt == 0, so the r=0 tangent is exactly 0
     np.testing.assert_allclose(g, np.zeros_like(g), atol=1e-12)
 
@@ -50,7 +49,7 @@ def test_tangent_matched_gaussian_closed_form():
     t = rng.uniform(0.1, 1.4, 16)
     y = np.zeros(16, dtype=int)
     r = 0.7
-    g = scm_tangent(state, x_t, t, y, 1.0, r=r, tangent_c=0.1)
+    g = _tangent_and_value(state, x_t, t, y, 1.0, r=r, tangent_c=0.1)[0]
     raw = -r * (np.cos(t) * np.sin(t))[:, None] * x_t
     expect = raw / (np.linalg.norm(raw, axis=1, keepdims=True) + 0.1)
     np.testing.assert_allclose(g, expect, atol=1e-10)
@@ -62,7 +61,7 @@ def test_tangent_norm_strictly_below_one(tiny_state):
     x_t = 2.0 * rng.standard_normal((64, 2))
     t = rng.uniform(0.05, HALF_PI, 64)
     y = rng.integers(0, 3, 64)
-    g = scm_tangent(state, x_t, t, y, 4.5, r=1.0, tangent_c=0.1)
+    g = _tangent_and_value(state, x_t, t, y, 4.5, r=1.0, tangent_c=0.1)[0]
     norms = np.linalg.norm(g, axis=1)
     assert np.all(norms < 1.0)
 
@@ -167,23 +166,21 @@ def test_stopgrad_view_numerically_equal(tiny_state):
     assert state.student_stopgrad.inner.params.flat is state.student.inner.params.flat
 
 
-def test_one_step_generate_domain(tiny_state):
+def test_student_consistency_shape(tiny_state):
     state, _ = tiny_state
     x = np.zeros((3, 2))
     y = np.zeros(3, dtype=int)
-    with pytest.raises(DomainError):
-        one_step_generate(state, x, np.zeros(3), y, 4.5)
-    out = one_step_generate(state, x, np.full(3, HALF_PI), y, 4.5)
+    out = np.asarray(state.student.consistency(x, np.full(3, HALF_PI), y, cfg=4.5))
     assert out.shape == (3, 2)
 
 
 def test_warmup_ratio_in_step(gauss_ds, teacher):
     net, _ = teacher
-    config = DistillConfig(iters=2, batch=8, warmup_H=10)
+    config = DistillConfig(iters=2, batch=8, warmup_steps=5)
     state = init_distill(net, gauss_ds, config, seed=0)
     state.step = 2
     row = tfdl.distill_step(state, config, gauss_ds, np.random.default_rng(13))
-    assert row["r"] == 0.5  # the ramp counts half-steps: (2 * 2 + 1) / 10
+    assert row["r"] == 0.5  # (2 + 0.5) / 5
     assert row["iter"] == 2 and state.step == 3
     state.step = 20
     row = tfdl.distill_step(state, config, gauss_ds, np.random.default_rng(14))
@@ -197,7 +194,7 @@ def test_lambda_zero_total_equals_scm_loss(gauss_ds, teacher):
     probe = np.random.default_rng(15)
     # from the same generator state, the public loss makes the step's draws
     expected = tfdl.scm_loss(state, minibatch_arrays(gauss_ds, config.batch, probe), probe,
-                             r=1 / config.warmup_H, tangent_c=config.tangent_c,
+                             r=0.5 / config.warmup_steps, tangent_c=config.tangent_c,
                              cfg_scales=config.cfg_scales)
     row = tfdl.distill_step(state, config, gauss_ds, np.random.default_rng(15))
     assert row["adv_g"] == 0.0 and row["adv_d"] == 0.0
@@ -253,7 +250,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DistillConfig(lambda_adv=-0.1)
     with pytest.raises(ValueError):
-        DistillConfig(warmup_H=0)
+        DistillConfig(warmup_steps=0)
     with pytest.raises(ValueError):
         DistillConfig(use_scm=False, lambda_adv=0.0)
     with pytest.raises(ValueError):

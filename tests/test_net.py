@@ -104,7 +104,7 @@ def test_grad_matches_finite_differences():
 
 def test_constant_loss_has_zero_gradient():
     net = tfdl.VelocityNet(1, seed=8)
-    grad = net.grad(lambda P: vsum(P["in_w"] * 0.0) + 3.0)
+    grad = net.value_and_grad(lambda P: vsum(P["in_w"] * 0.0) + 3.0)[1]
     np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
 
@@ -117,8 +117,9 @@ def test_gradient_linear_in_batch():
         out = net.forward(x[sl], t[sl], y[sl], cfg[sl], params=P)
         return vsum(out * out)
 
-    g_full = net.grad(lambda P: loss_sum(P, slice(None)))
-    g_parts = sum(net.grad(lambda P, i=i: loss_sum(P, slice(i, i + 1))) for i in range(4))
+    g_full = net.value_and_grad(lambda P: loss_sum(P, slice(None)))[1]
+    g_parts = sum(net.value_and_grad(lambda P, i=i: loss_sum(P, slice(i, i + 1)))[1]
+                  for i in range(4))
     np.testing.assert_allclose(g_full, g_parts, rtol=1e-10, atol=1e-12)
 
 

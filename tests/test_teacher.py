@@ -117,7 +117,7 @@ def test_cfg_velocity_special_scales():
     x = rng.standard_normal((5, 2))
     t = rng.uniform(0, 1, 5)
     y = rng.integers(0, 3, 5)
-    null = np.full(5, net.null_class)
+    null = np.full(5, net.n_classes)
     np.testing.assert_array_equal(cfg_velocity(net, x, t, y, 1.0),
                                   net.forward(x, t, y, cfg=0.0))
     np.testing.assert_array_equal(cfg_velocity(net, x, t, y, 0.0),
@@ -139,7 +139,7 @@ def test_cfg_velocity_affine_in_scale():
 def test_cfg_velocity_rejects_null_condition():
     net = tfdl.VelocityNet(2, seed=8)
     with pytest.raises(ValueError):
-        cfg_velocity(net, np.zeros((1, 2)), 0.5, np.array([net.null_class]), 4.0)
+        cfg_velocity(net, np.zeros((1, 2)), 0.5, np.array([net.n_classes]), 4.0)
 
 
 def test_euler_analytic_velocity_keeps_gaussian_std():
