@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import tfdl
-from tfdl.errors import ConfigurationError
-from tfdl.metrics import _MMD_TILE, _sliced_w2_dirs, mmd_rbf, sliced_w2
+from tfdl.errors import ConfigurationError, NumericsError
+from tfdl.metrics import (_MMD_TILE, _lift, _sliced_w2_dirs, _tile_sum, evaluate, mmd_rbf,
+                          sliced_w2)
 from tfdl.optim import ParamVector
 from tfdl.runio import RunConfig, load_net, save_net, save_params
 
@@ -127,8 +128,9 @@ def _alloc_tile_sum(u, v, gamma):
 
 
 def _alloc_mmd(a, b, bandwidth=1.0):
-    """Reference: ``mmd_rbf`` with a fresh array per tile. The in-place tiles
-    make the same operations in the same order, so they must match bit for bit."""
+    """Reference: ``mmd_rbf``'s tiles in subtract-and-square form, with a fresh
+    array per tile. The lifted GEMM tiles round differently, so they must match
+    it to 1e-12 relative, not bit for bit."""
     def kernel_sum(u, v):
         return sum(_alloc_tile_sum(u[i:i + _MMD_TILE], v[j:j + _MMD_TILE], gamma)
                    for i in range(0, len(u), _MMD_TILE) for j in range(0, len(v), _MMD_TILE))
@@ -151,12 +153,92 @@ def _alloc_mmd(a, b, bandwidth=1.0):
 
 
 @pytest.mark.parametrize("na, nb", [(4096, 4096), (700, 1030), (257, 513), (2, 3)])
-def test_mmd_bit_identical_to_allocating_tiles(na, nb):
+def test_mmd_matches_allocating_tiles(na, nb):
     rng = np.random.default_rng(10)
     a = rng.standard_normal((na, 2))
     b = 0.8 * rng.standard_normal((nb, 2)) + 0.3
-    assert mmd_rbf(a, b, bandwidth=0.7) == _alloc_mmd(a, b, bandwidth=0.7)
-    assert mmd_rbf(b, a) == _alloc_mmd(b, a)
+    # abs=0: approx's default absolute tolerance of 1e-12 would swamp the
+    # relative one on estimates well below 1
+    assert mmd_rbf(a, b, bandwidth=0.7) == pytest.approx(_alloc_mmd(a, b, bandwidth=0.7),
+                                                         rel=1e-12, abs=0)
+    assert mmd_rbf(b, a) == pytest.approx(_alloc_mmd(b, a), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("offset", [1.0, 100.0, 1e3])
+def test_mmd_translation_invariant(offset):
+    # the lifted rows hold |u|^2, so without centring a far offset would cost
+    # digits of the exponent
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((700, 2))
+    b = 0.8 * rng.standard_normal((1030, 2)) + 0.3
+    c = offset * np.array([1.0, -0.6])
+    assert mmd_rbf(a + c, b + c) == pytest.approx(mmd_rbf(a, b), rel=1e-12, abs=0)
+
+
+def test_mmd_self_kernel_diagonal_counts_exactly_n():
+    # a's points lie at least 100 apart, so its off-diagonal kernels underflow
+    # to 0, and up to 3e4 from their mean, so an unzeroed diagonal exponent
+    # would round away from 0; b is one point repeated, far from a. The
+    # estimate is 0 + 1 - 0.
+    rng = np.random.default_rng(16)
+    a = 100.0 * rng.permutation(300)[:, None] * np.array([1.0, 0.37])
+    a += rng.uniform(0, 1, (300, 2)) + 1e4
+    b = np.tile([-1e4 - 0.1234567, -3.21987], (300, 1))
+    for bandwidth in (0.3, 0.7, 1.3):
+        assert mmd_rbf(a, b, bandwidth=bandwidth) == 1.0
+
+
+def test_mmd_tile_kernel_never_exceeds_one():
+    # a repeated point lifted far from the centre gets exponents of either sign
+    # from rounding; the clamp keeps every kernel value at most 1
+    u = np.tile([1e4 + 0.1234567, 3.21987], (64, 1))
+    rows, cols = _lift(u, np.zeros(2), 1.0 / (2.0 * 0.3 ** 2))
+    assert _tile_sum(rows, cols, np.empty(64 * 64)) <= 64 * 64
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_reject_non_finite_points(bad):
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+    a[5, 1] = bad
+    for metric in (mmd_rbf, sliced_w2):
+        for args in ((a, b), (b, a)):
+            with pytest.raises(NumericsError):
+                metric(*args)
+    with pytest.raises(NumericsError):
+        evaluate(a, b)
+
+
+def test_mmd_overflowing_exponent_raises():
+    # finite points whose squared norms overflow would give a NaN exponent,
+    # which the clamp at 0 would otherwise report as a perfect score
+    a = np.array([[0.0, 0.0], [1e160, 0.0], [1e160, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+        mmd_rbf(a, a[::-1])
+
+
+@pytest.mark.parametrize("bandwidth", [-1.0, 0.0, np.inf, np.nan])
+def test_mmd_rejects_bad_bandwidth(bandwidth):
+    a = np.random.default_rng(13).standard_normal((16, 2))
+    with pytest.raises(ValueError, match="bandwidth"):
+        mmd_rbf(a, a + 1.0, bandwidth=bandwidth)
+
+
+def test_mmd_rejects_mismatched_dimensions():
+    rng = np.random.default_rng(14)
+    with pytest.raises(ValueError, match="dimension"):
+        mmd_rbf(rng.standard_normal((16, 2)), rng.standard_normal((16, 3)))
+
+
+def test_evaluate_rejects_unequal_sizes():
+    rng = np.random.default_rng(15)
+    a, b = rng.standard_normal((64, 2)), rng.standard_normal((65, 2))
+    with pytest.raises(ValueError, match="sizes differ"):
+        evaluate(a, b)
+    report = evaluate(a, b[:64], seed=2)
+    assert report.n_samples == 64
+    assert report.mmd_rbf == mmd_rbf(a, b[:64])
+    assert report.sliced_w2 == sliced_w2(a, b[:64], seed=2)
 
 
 def test_mmd_rejects_single_sample():
