@@ -67,6 +67,10 @@ class DistillConfig:
             raise ValueError("tangent_c must be positive")
         if not self.use_scm and self.lambda_adv == 0:
             raise ValueError("at least one of the consistency and adversarial terms must be on")
+        for key in ("gen_tdist", "disc_tdist"):
+            if getattr(self, key).sigma_d is not None:
+                raise ValueError(f"{key}.sigma_d must be null, as the dataset sets it, "
+                                 f"not {getattr(self, key).sigma_d}")
 
 
 class AdaptiveWeight:

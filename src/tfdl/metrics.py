@@ -132,7 +132,8 @@ def mmd_rbf(a, b, bandwidth=1.0):
 
     Each self-kernel's diagonal is exp(0) = 1 exactly, so it counts as n.
     Non-finite points raise ``NumericsError``; a bandwidth that is not positive
-    and finite, or point sets of different dimension, raise ``ValueError``.
+    and finite or so small that 1/(2 bandwidth^2) is not, or point sets of
+    different dimension, raise ``ValueError``.
     """
     a, b = _finite_points(a, b)
     if len(a) < 2 or len(b) < 2:
@@ -141,7 +142,10 @@ def mmd_rbf(a, b, bandwidth=1.0):
         raise ValueError(f"point sets of shapes {a.shape} and {b.shape} differ in dimension")
     if not (np.isfinite(bandwidth) and bandwidth > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    gamma = 1.0 / (2.0 * bandwidth ** 2)
+    two_sq = 2.0 * float(bandwidth) ** 2
+    gamma = 1.0 / two_sq if two_sq > 0 else np.inf
+    if not np.isfinite(gamma):
+        raise ValueError(f"bandwidth {bandwidth} is too small: 1/(2 bandwidth^2) is not finite")
     mean_a, mean_b = a.mean(axis=0), b.mean(axis=0)
     mid = 0.5 * (mean_a + mean_b)
     na, nb = len(a), len(b)

@@ -47,7 +47,6 @@ class NetSpec:
     width: int = 128
     depth: int = 4
     n_freq: int = 64
-    attention: bool = True
     qk_norm: bool = True
     c_noise_scale: float = 1.0
 
@@ -78,9 +77,9 @@ def broadcast_rows(v, n, dtype=np.float64):
 class VelocityNet:
     """F(x, t, y, cfg) with value, forward-mode JVP, and reverse-mode gradient."""
 
-    def __init__(self, n_classes, width=128, depth=4, n_freq=64, attention=True,
-                 qk_norm=True, c_noise_scale=1.0, seed=0, zero_out=True):
-        self.spec = NetSpec(width, depth, n_freq, attention, qk_norm, float(c_noise_scale))
+    def __init__(self, n_classes, width=128, depth=4, n_freq=64, qk_norm=True,
+                 c_noise_scale=1.0, seed=0, zero_out=True):
+        self.spec = NetSpec(width, depth, n_freq, qk_norm, float(c_noise_scale))
         vars(self).update(asdict(self.spec))  # net.width, net.depth, ... as attributes
         self.n_classes = n_classes
         self.n_tokens = N_TOKENS
@@ -93,10 +92,9 @@ class VelocityNet:
                 ("in_w", (2, width)), ("in_b", (width,))]
         for i in range(depth):
             segs += [(f"h{i}_w", (width, width)), (f"h{i}_b", (width,))]
-        if attention:
-            d = self.d_token
-            segs += [("attn_wq", (d, d)), ("attn_wk", (d, d)),
-                     ("attn_wv", (d, d)), ("attn_wo", (d, d))]
+        d = self.d_token
+        segs += [("attn_wq", (d, d)), ("attn_wk", (d, d)),
+                 ("attn_wv", (d, d)), ("attn_wo", (d, d))]
         segs += [("out_w", (width, 2)), ("out_b", (2,))]
         self.params = ParamVector(segs)
         self._init_params(seed, zero_out)
@@ -111,11 +109,10 @@ class VelocityNet:
         p["in_w"] = rng.standard_normal((2, self.width)) / np.sqrt(2.0)
         for i in range(self.depth):
             p[f"h{i}_w"] = rng.standard_normal((self.width, self.width)) * np.sqrt(2.0 / self.width)
-        if self.attention:
-            d = self.d_token
-            for name in ("attn_wq", "attn_wk", "attn_wv"):
-                p[name] = rng.standard_normal((d, d)) / np.sqrt(d)
-            # attn_wo starts at zero: the block begins as an identity residual
+        d = self.d_token
+        for name in ("attn_wq", "attn_wk", "attn_wv"):
+            p[name] = rng.standard_normal((d, d)) / np.sqrt(d)
+        # attn_wo starts at zero: the block begins as an identity residual
         if not zero_out:
             p["out_w"] = rng.standard_normal((self.width, 2)) / np.sqrt(self.width)
             p["out_b"] = 0.01 * rng.standard_normal(2)
@@ -145,7 +142,7 @@ class VelocityNet:
         h = x @ P["in_w"] + P["in_b"] + cond
         hidden = []
         for i in range(self.depth):
-            if self.attention and i == self.attn_at:
+            if i == self.attn_at:
                 h = h + self._attn(P, h)
             h = silu(h @ P[f"h{i}_w"] + P[f"h{i}_b"])
             if collect_hidden:

@@ -151,8 +151,8 @@ def load_net(path):
 
     The sidecar is the header's metadata less the net's own keys, so a
     re-save takes those from the net alone. Older headers also carry
-    ``n_tokens``; a token count other than the net's shows as a segment-shape
-    mismatch.
+    ``n_tokens`` and ``attention``; a token count other than the net's, or a
+    net without the attention block, shows as a segment-layout mismatch.
     """
     header, flat = load_checkpoint(path)
     try:
@@ -165,7 +165,8 @@ def load_net(path):
             != [(n, p.shapes[n]) for n in p.names]):
         raise _malformed(path, "segment names or shapes differ from the rebuilt net")
     p.flat[:] = flat
-    return net, {k: v for k, v in meta.items() if k not in net.meta() and k != "n_tokens"}
+    return net, {k: v for k, v in meta.items()
+                 if k not in net.meta() and k not in ("n_tokens", "attention")}
 
 
 # -- CSV / SVG artifacts -----------------------------------------------------

@@ -1,16 +1,18 @@
 """Training-free adaptation of a flow-matching net to the trigonometric schedule.
 
 A flow-matching model cannot directly denoise cos/sin-scheduled data: the time
-domains, data scales, and prediction targets all differ. The adapter fixes all
-three with closed-form maps,
+domains, data scales, and prediction targets all differ. The paper fixes all
+three with differentiable closed-form maps that preserve the SNR exactly,
 
     t_fm     = sin(t) / (sin(t) + cos(t))
-    lambda   = sqrt(t_fm^2 + (1 - t_fm)^2)
+    lambda   = sqrt(t_fm^2 + (1 - t_fm)^2)  = 1 / (sin(t) + cos(t))
     x_fm     = (x / sigma_d) * lambda
-    output   = [(1 - 2 t_fm) x_fm + (1 - 2 t_fm + 2 t_fm^2) v(x_fm, t_fm)] / lambda
+    F        = [(1 - 2 t_fm) x_fm + (1 - 2 t_fm + 2 t_fm^2) v(x_fm, t_fm)] / lambda
+             = (1 - 2 t_fm) x / sigma_d + lambda v(x_fm, t_fm)
+    cos(t) x - sigma_d sin(t) F = lambda (x - sigma_d sin(t) v(x_fm, t_fm))
 
-which preserve the signal-to-noise ratio exactly and are differentiable, so
-both forward-mode tangents and reverse-mode gradients flow through them.
+The second forms follow from sin^2 t + cos^2 t = 1 and are the ones evaluated;
+the last is the consistency prediction, so it takes one inner pass.
 """
 
 from __future__ import annotations
@@ -24,17 +26,20 @@ from .schedule import HALF_PI
 from .teacher import cfg_velocity, euler_integrate
 
 
-def _check_trig_domain(t):
+def _trig_maps(t):
+    """sin t, t_fm and lambda = 1 / (sin t + cos t) as a column, for trig times
+    in [0, pi/2]; one domain check, one sin and one cos."""
     tp = primal(t)
     if np.any(tp < 0) or np.any(tp > HALF_PI + 1e-12):
         raise DomainError("trig time outside [0, pi/2]")
+    s = ad.sin(t)
+    sc = s + ad.cos(t)
+    return s, s / sc, reshape(1.0 / sc, (-1, 1))
 
 
 def t_fm_of(t_trig):
     """Map a trig-schedule time to the flow-matching time of equal SNR."""
-    _check_trig_domain(t_trig)
-    s, c = ad.sin(t_trig), ad.cos(t_trig)
-    return s / (s + c)
+    return _trig_maps(t_trig)[1]
 
 
 def scale_factor(t_fm):
@@ -58,34 +63,28 @@ class TrigFlowAdapter:
         self.sigma_d = float(sigma_d)
         self.teacher_cfg = teacher_cfg
 
-    def _to_fm(self, x, t):
-        """Flow-matching time, scale factor and input for trig-schedule (x, t)."""
-        tf = t_fm_of(t)
-        lam = scale_factor(tf)
-        return tf, lam, (x * (1.0 / self.sigma_d)) * reshape(lam, (-1, 1))
+    def _flow_velocity(self, x_fm, tf, y, cfg, params):
+        if not self.teacher_cfg:
+            return self.inner.forward(x_fm, tf, y, cfg=cfg, params=params)
+        return cfg_velocity(self.inner, x_fm, tf, y, 1.0 if cfg is None else cfg, params=params)
 
     def velocity(self, x, t, y, cfg=None, params=None):
         """Trig-schedule velocity estimate from raw-scale input x."""
-        tf, lam, x_fm = self._to_fm(x, t)
-        if self.teacher_cfg:
-            v = cfg_velocity(self.inner, x_fm, tf, y, 1.0 if cfg is None else cfg,
-                             params=params)
-        else:
-            v = self.inner.forward(x_fm, tf, y, cfg=cfg, params=params)
-        a = reshape(1.0 - tf * 2.0, (-1, 1))
-        b = reshape(1.0 - tf * 2.0 + tf * tf * 2.0, (-1, 1))
-        return (a * x_fm + b * v) * reshape(lam ** -1.0, (-1, 1))
+        _, tf, lam = _trig_maps(t)
+        xs = x * (1.0 / self.sigma_d)
+        v = self._flow_velocity(xs * lam, tf, y, cfg, params)
+        return reshape(1.0 - tf * 2.0, (-1, 1)) * xs + lam * v
 
     def consistency(self, x, t, y, cfg=None, params=None):
         """Solution-point prediction cos(t) x - sin(t) sigma_d F(x/sigma_d, t)."""
-        _check_trig_domain(t)
-        ct = reshape(ad.cos(t), (-1, 1))
-        st = reshape(ad.sin(t), (-1, 1))
-        return ct * x - st * (self.velocity(x, t, y, cfg=cfg, params=params) * self.sigma_d)
+        s, tf, lam = _trig_maps(t)
+        v = self._flow_velocity((x * (1.0 / self.sigma_d)) * lam, tf, y, cfg, params)
+        return lam * (x - reshape(s * self.sigma_d, (-1, 1)) * v)
 
     def features(self, x, t, y, params=None):
         """Hidden activations of the unguided conditional inner pass at raw-scale x."""
-        tf, _, x_fm = self._to_fm(x, t)
+        _, tf, lam = _trig_maps(t)
+        x_fm = (x * (1.0 / self.sigma_d)) * lam
         return self.inner.forward(x_fm, tf, y, cfg=0.0, params=params, return_hidden=True)[1]
 
 

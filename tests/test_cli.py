@@ -121,6 +121,15 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     # the ramp length is warmup_steps; the old half-step key is unknown
     ("distill", "warmup_H", 1000),
     ("distill", "warmup_steps", 0),
+    # every net has the attention block; the old switch is an unknown key
+    ("net", "attention", False),
+    # the timestep distributions take sigma_d from the dataset
+    pytest.param("distill", "sigma_d",
+                 {"gen_tdist": {"p_mean": 0.0, "p_std": 1.6, "sigma_d": 9.0, "max_time_prob": 0.5}},
+                 id="distill-gen_tdist-sigma_d-9.0"),
+    pytest.param("distill", "sigma_d",
+                 {"disc_tdist": {"p_mean": -0.6, "p_std": 1.0, "sigma_d": 9.0, "max_time_prob": 0.0}},
+                 id="distill-disc_tdist-sigma_d-9.0"),
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):
     # section None is a top-level RunConfig key; a dict value edits several keys

@@ -217,7 +217,8 @@ def test_mmd_overflowing_exponent_raises():
         mmd_rbf(a, a[::-1])
 
 
-@pytest.mark.parametrize("bandwidth", [-1.0, 0.0, np.inf, np.nan])
+# 1e-160 and 1e-200 are positive, but 1/(2 bandwidth^2) overflows
+@pytest.mark.parametrize("bandwidth", [-1.0, 0.0, np.inf, np.nan, 1e-160, 1e-200])
 def test_mmd_rejects_bad_bandwidth(bandwidth):
     a = np.random.default_rng(13).standard_normal((16, 2))
     with pytest.raises(ValueError, match="bandwidth"):
@@ -285,8 +286,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 def test_checkpoint_header_with_top_level_net_flags_loads(tmp_path):
     # older headers also carried c_noise_scale and qk_norm outside meta, and
-    # n_tokens inside it; the reader rebuilds the net from the NetSpec keys of
-    # meta alone, and a re-save drops the old keys
+    # n_tokens and attention inside it; the reader rebuilds the net from the
+    # NetSpec keys of meta alone, and a re-save drops the old keys
     net = tfdl.VelocityNet(3, seed=8, qk_norm=False, c_noise_scale=1000.0, zero_out=False)
     path = tmp_path / "old.ckpt"
     save_net(path, net, {"sigma_d": 0.5})
@@ -294,9 +295,9 @@ def test_checkpoint_header_with_top_level_net_flags_loads(tmp_path):
     head, payload = new_bytes.split(b"\n", 1)
     header = json.loads(head)
     assert "c_noise_scale" not in header and "qk_norm" not in header
-    assert "n_tokens" not in header["meta"]
+    assert "n_tokens" not in header["meta"] and "attention" not in header["meta"]
     header.update(c_noise_scale=net.c_noise_scale, qk_norm=net.qk_norm)
-    header["meta"]["n_tokens"] = net.n_tokens
+    header["meta"].update(n_tokens=net.n_tokens, attention=True)
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
     loaded, meta = load_net(path)
     np.testing.assert_array_equal(loaded.params.flat, net.params.flat)

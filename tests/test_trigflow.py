@@ -5,8 +5,10 @@ import pytest
 
 import tfdl
 from conftest import AnalyticGaussianFM, ConstFM, ZeroFM
+from tfdl.autodiff import Dual, cos, reshape, sin, vsum
 from tfdl.errors import DomainError
 from tfdl.schedule import HALF_PI, flow_matching, snr, trigflow
+from tfdl.teacher import cfg_velocity
 from tfdl.trigflow import TrigFlowAdapter, euler_sample_trig, scale_factor, t_fm_of
 
 
@@ -33,12 +35,14 @@ def test_scale_factor_reference_points():
 
 
 def test_scale_identities():
-    # lambda(t_fm) cos(t) = 1 - t_fm and lambda(t_fm) sin(t) = t_fm
+    # lambda(t_fm) cos(t) = 1 - t_fm, lambda(t_fm) sin(t) = t_fm, and so
+    # lambda(t_fm) (sin(t) + cos(t)) = 1, the closed form the adapter evaluates
     t = np.random.default_rng(0).uniform(0, HALF_PI, 1000)
     tf = t_fm_of(t)
     lam = scale_factor(tf)
     assert np.abs(lam * np.cos(t) - (1 - tf)).max() <= 1e-12
     assert np.abs(lam * np.sin(t) - tf).max() <= 1e-12
+    assert np.abs(lam * (np.sin(t) + np.cos(t)) - 1).max() <= 1e-12
 
 
 def test_snr_preserved_by_time_map():
@@ -165,3 +169,63 @@ def test_adapter_value_identical_in_every_mode():
         tape = adapter.velocity(Var(x), Var(t), y, cfg=4.5)
         np.testing.assert_array_equal(dual.p, plain)
         np.testing.assert_array_equal(tape.v, plain)
+
+
+# -- the closed forms against the paper's maps composed one at a time --------
+
+def _composed_velocity(adapter, x, t, y, cfg, params=None):
+    """The output map [(1 - 2 t_fm) x_fm + (1 - 2 t_fm + 2 t_fm^2) v] / lambda,
+    built from t_fm_of and scale_factor: the oracle of the adapter."""
+    tf = t_fm_of(t)
+    lam = reshape(scale_factor(tf), (-1, 1))
+    x_fm = (x * (1.0 / adapter.sigma_d)) * lam
+    if adapter.teacher_cfg:
+        v = cfg_velocity(adapter.inner, x_fm, tf, y, cfg, params=params)
+    else:
+        v = adapter.inner.forward(x_fm, tf, y, cfg=cfg, params=params)
+    a = reshape(1.0 - tf * 2.0, (-1, 1))
+    b = reshape(1.0 - tf * 2.0 + tf * tf * 2.0, (-1, 1))
+    return (a * x_fm + b * v) / lam
+
+
+def _composed_consistency(adapter, x, t, y, cfg, params=None):
+    """cos(t) x - sigma_d sin(t) F from the composed output map."""
+    f = _composed_velocity(adapter, x, t, y, cfg, params=params)
+    return reshape(cos(t), (-1, 1)) * x - reshape(sin(t), (-1, 1)) * (f * adapter.sigma_d)
+
+
+def _assert_close(new, old):
+    """Agreement to 1e-12 relative to the largest entry. Entrywise relative
+    error is unbounded where an entry cancels far below its terms (a tangent
+    that crosses zero, a gradient entry summed over the batch)."""
+    assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("teacher_cfg", [False, True])
+def test_adapter_matches_composed_maps_in_every_mode(teacher_cfg):
+    # the closed forms round differently from the composed maps, so they agree
+    # to 1e-12, not bit for bit; t includes both ends and pi/4
+    rng = np.random.default_rng(16)
+    net = tfdl.VelocityNet(2, seed=17, zero_out=False)
+    n = 96
+    t = np.concatenate([[0.0, np.pi / 4, HALF_PI], rng.uniform(0, HALF_PI, n - 3)])
+    x, x_tan = rng.standard_normal((2, n, 2))
+    y = rng.integers(0, 2, n)
+    seed = rng.standard_normal((n, 2))
+    for sigma_d in (0.3, 1.44):
+        adapter = TrigFlowAdapter(net, sigma_d, teacher_cfg=teacher_cfg)
+        for name, oracle in (("velocity", _composed_velocity),
+                             ("consistency", _composed_consistency)):
+            method = getattr(adapter, name)
+            _assert_close(method(x, t, y, cfg=4.5), oracle(adapter, x, t, y, 4.5))
+            new = method(Dual(x, x_tan), Dual(t, np.ones(n)), y, cfg=4.5)
+            old = oracle(adapter, Dual(x, x_tan), Dual(t, np.ones(n)), y, 4.5)
+            _assert_close(new.p, old.p)
+            _assert_close(new.t, old.t)
+            grads = []
+            for f in (lambda P: method(x, t, y, cfg=4.5, params=P),
+                      lambda P: oracle(adapter, x, t, y, 4.5, params=P)):
+                leaves = net.params.as_vars()
+                vsum(f(leaves) * seed).backward()
+                grads.append(net.params.gradient_from(leaves))
+            _assert_close(*grads)
