@@ -20,9 +20,17 @@ cost no work. A fixed-arity entry may give one rule per operand instead,
 ``rule(t, *xs, r, *params)``, a tuple of them when it has two operands;
 ``Prim`` lists them once, summing the operands' tangents and summing each
 gradient back to its operand's shape (the reverse of numpy broadcasting).
-``cat`` and ``attention`` write the list form; ``attention`` is the velocity
-net's whole attention block (projections, QK RMS norm, softmax, output
-projection) with hand-derived rules, so a block is one tape node.
+``cat``, ``dense_silu`` and ``attention`` write the list form.
+
+Three fused entries keep the velocity net's tape short. ``attention`` is the
+whole attention block (projections, QK RMS norm, softmax, output projection)
+with hand-derived rules, so a block is one tape node. ``dense_silu([x, W, b])``
+is ``silu(x @ W + b)`` as one node: it forms ``u = x @ (W/2) + b/2`` and
+returns ``u·(1 + tanh u)``. Halving a normal float is exact, so this
+equals the composed graph bit for bit, and its rules keep the ``silu`` entry's
+order of operations, so its tangents and gradients do too. ``sincos(x)``
+returns ``[sin x | cos x]`` along the last axis and keeps that output as its
+residual, so neither rule evaluates a transcendental.
 
 Two interpreters. An entry called on plain ndarrays runs its primal;
 otherwise the type of its traced operand interprets the call:
@@ -31,7 +39,12 @@ otherwise the type of its traced operand interprets the call:
   output's tangent.
 * ``Var``  — reverse mode. Records a tape node whose parents are the live
   operands and whose closure applies ``vjp``; ``backward()`` accumulates
-  gradients in reverse topological order.
+  gradients in reverse topological order. It consumes the tape as it goes:
+  once a node's VJP has run, the node drops its closure (and with it the
+  operand values and residual it holds), its parents and its gradient, so
+  the walk frees the tape instead of holding it until the tape is dropped.
+  Only the leaves and the node ``backward`` was called on keep gradients, and
+  a second ``backward`` through a consumed node raises.
 
 Plain ndarrays mix freely with either type and are treated as constants,
 which is how stop-gradient and frozen-module semantics are expressed: a
@@ -43,9 +56,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Dual", "Var", "PRIMITIVES", "primal", "sin", "cos", "exp", "sqrt", "relu",
-    "silu", "softmax", "neg", "power", "vsum", "vmean", "reshape", "swap_last",
-    "take_rows", "add", "sub", "mul", "div", "matmul", "cat", "attention",
+    "Dual", "Var", "PRIMITIVES", "primal", "sin", "cos", "sincos", "exp", "sqrt", "relu",
+    "silu", "dense_silu", "softmax", "neg", "power", "vsum", "vmean", "reshape",
+    "swap_last", "take_rows", "add", "sub", "mul", "div", "matmul", "cat", "attention",
 ]
 
 PRIMITIVES = {}
@@ -160,7 +173,13 @@ class Var(_Traced):
         return Var(y, parents, lambda g: vjp(g, vals, r, live, *params, **kw))
 
     def backward(self, seed=None):
-        """Accumulate gradients of this (scalar) node into the tape."""
+        """Accumulate gradients of this (scalar) node into the tape's leaves.
+
+        The walk consumes the tape: each interior node drops its closure, its
+        parents and its gradient once its VJP has run, so operand values and
+        residuals are freed along the way. Leaves and this node keep their
+        gradients; a second ``backward`` through a consumed node raises.
+        """
         if seed is None:
             if self.v.size != 1:
                 raise ValueError("backward() without seed requires a scalar node")
@@ -173,17 +192,25 @@ class Var(_Traced):
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise RuntimeError("backward() through a tape that an earlier "
+                                   "backward() consumed")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.asarray(seed, dtype=np.float64)
-        for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
+        while topo:
+            node = topo.pop()
+            if node._vjp is None:
                 continue
-            for p, g in zip(node._parents, node._vjp(node.grad)):
-                p.grad = g if p.grad is None else p.grad + g
+            if node.grad is not None:
+                for p, g in zip(node._parents, node._vjp(node.grad)):
+                    p.grad = g if p.grad is None else p.grad + g
+            node._vjp = node._parents = None
+            if node is not self:
+                node.grad = None
 
 
 def primal(x):
@@ -274,6 +301,73 @@ def _silu(x):
     s *= 0.5
     s *= x
     return s
+
+
+def _sincos(x):
+    return np.concatenate([np.sin(x), np.cos(x)], axis=-1)
+
+
+def _sincos_jvp(t, x, sc):
+    n = x.shape[-1]
+    return np.concatenate([t * sc[..., n:], -t * sc[..., :n]], axis=-1)
+
+
+def _sincos_vjp(g, x, sc):
+    n = x.shape[-1]
+    return g[..., :n] * sc[..., n:] - g[..., n:] * sc[..., :n]
+
+
+# -- the fused dense + SiLU layer ----------------------------------------------
+# silu(z) = z·sigmoid(z) = u·(1 + tanh u) with u = z/2 = x @ (W/2) + b/2; the
+# residual is (u, 1 + tanh u), and s = (1 + tanh u)/2 is the silu entry's sigmoid.
+
+def _dense_half(x, W, b):
+    u = x @ (0.5 * W)
+    u += 0.5 * b
+    return u
+
+
+def _dense_silu(xs):
+    u = _dense_half(*xs)
+    y = np.tanh(u)
+    y += 1.0
+    y *= u
+    return y
+
+
+def _dense_silu_fwd(xs):
+    u = _dense_half(*xs)
+    a = np.tanh(u)
+    a += 1.0
+    return u * a, (u, a)
+
+
+def _times_slope(t, u, a):
+    """``t·silu'(z)`` with silu'(z) = s·(1 + z·(1 - s)), s = a/2 and z = 2u,
+    in one buffer; products in the order of the silu entry's rule."""
+    d = 2.0 - a
+    d *= u
+    d += 1.0
+    d *= 0.5 * a
+    d *= t
+    return d
+
+
+def _dense_silu_jvp(ts, xs, r):
+    (tx, tW, tb), (x, W, b) = ts, xs
+    tz = None if tx is None else tx @ W
+    if tW is not None:
+        tz = x @ tW if tz is None else tz + x @ tW
+    if tb is not None:
+        tz = tb if tz is None else tz + tb
+    return _times_slope(tz, *r)
+
+
+def _dense_silu_vjp(g, xs, r, live):
+    x, W, b = xs
+    gz = _times_slope(g, *r)
+    grads = (lambda: gz @ W.T, lambda: x.T @ gz, lambda: gz.sum(axis=0))
+    return [grads[i]() for i in live]
 
 
 def _softmax(z, axis=-1):
@@ -432,6 +526,9 @@ sqrt = Prim("sqrt", np.sqrt, lambda t, x, y: 0.5 * t / y)
 relu = Prim("relu", lambda x: np.maximum(x, 0.0), lambda t, x, r: np.where(x > 0, t, 0.0))
 silu = Prim("silu", _silu, lambda t, x, s: t * (s * (1.0 + x * (1.0 - s))),
             fwd=_silu_fwd)
+sincos = Prim("sincos", _sincos, _sincos_jvp, _sincos_vjp)
+dense_silu = Prim("dense_silu", _dense_silu, _dense_silu_jvp, _dense_silu_vjp,
+                  fwd=_dense_silu_fwd, arity=None)
 softmax = Prim("softmax", _softmax, _softmax_rule)
 power = Prim("power", lambda x, k: x ** k, lambda t, x, r, k: t * (k * x ** (k - 1.0)))
 neg = Prim("neg", np.negative)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Dual, exp as vexp, primal, relu, reshape, silu, vmean, vsum
+from .autodiff import (Dual, dense_silu, exp as vexp, primal, relu, reshape, sincos, vmean,
+                       vsum)
 from .errors import NumericsError, TrainingDivergence
 from .optim import Adam, ParamVector
 from .schedule import TimestepDistribution, mix_max_time, sample_t, trig_perturb
@@ -87,9 +88,8 @@ class AdaptiveWeight:
 
     def forward(self, t, params=None):
         P = self.params if params is None else params
-        args = np.asarray(t, dtype=np.float64).reshape(-1, 1) * self.freqs
-        emb = np.concatenate([np.sin(args), np.cos(args)], axis=1)
-        h = silu(emb @ P["w1"] + P["b1"])
+        emb = sincos(np.asarray(t, dtype=np.float64).reshape(-1, 1) * self.freqs)
+        h = dense_silu([emb, P["w1"], P["b1"]])
         return reshape(h @ P["w2"] + P["b2"], (-1,))
 
 
@@ -113,7 +113,7 @@ class DiscriminatorHeads:
         P = self.params if params is None else params
         out = []
         for k, f in enumerate(feats):
-            h = silu(f @ P[f"h{k}_w1"] + P[f"h{k}_b1"])
+            h = dense_silu([f, P[f"h{k}_w1"], P[f"h{k}_b1"]])
             out.append(reshape(h @ P[f"h{k}_w2"] + P[f"h{k}_b2"], (-1,)))
         return out
 
@@ -332,7 +332,7 @@ def distill_step(state, config, ds, rng):
     state.step += 1
 
     metrics.update({"scm_loss": scm_val, "adv_g": adv_val,
-                    "grad_norm": float(np.linalg.norm(g_student)),
+                    "grad_norm": float(np.sqrt(np.sum(g_student * g_student))),
                     "r": r, "t_mean": float(np.mean(d.t))})
     return metrics
 

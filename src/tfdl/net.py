@@ -6,7 +6,9 @@ embedding of ``c_noise_scale * t``; the guidance scale enters through an
 embedding of ``0.1 * cfg`` added to the time embedding; class conditions come
 from a learned table with one reserved null row for the unconditional branch.
 The attention block is one table entry, ``autodiff.attention``, with its own
-forward, JVP and transpose, so a tape holds one node per block.
+forward, JVP and transpose, so a tape holds one node per block; each
+dense+SiLU layer (``autodiff.dense_silu``) and each sinusoidal embedding
+(``autodiff.sincos``) is one node too.
 When ``t`` or ``cfg`` holds one value for the whole batch (every sampling
 step, every distillation batch's guidance scale), its embedding is computed
 once per call as a single row that broadcasts over the batch.
@@ -32,7 +34,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Dual, attention, cat, primal, reshape, silu, sin, cos, take_rows
+from .autodiff import Dual, attention, dense_silu, primal, reshape, sincos, take_rows
 from .errors import NumericsError
 from .optim import ParamVector
 
@@ -56,6 +58,21 @@ class NetSpec:
                              f"directly (width {self.width}, n_freq {self.n_freq})")
         if self.width % N_TOKENS:
             raise ValueError(f"width {self.width} must be divisible by n_tokens ({N_TOKENS})")
+
+
+def net_segments(n_classes, spec):
+    """(name, shape) of each parameter segment of a net, in storage order.
+
+    A pure function of the class count and ``NetSpec``, so a checkpoint's
+    layout can be checked before any net is allocated.
+    """
+    w, d = spec.width, spec.width // N_TOKENS
+    segs = [("time_freq", (spec.n_freq,)), ("cls_table", (n_classes + 1, w)),
+            ("cfg_proj", (w, w)), ("in_w", (2, w)), ("in_b", (w,))]
+    for i in range(spec.depth):
+        segs += [(f"h{i}_w", (w, w)), (f"h{i}_b", (w,))]
+    segs += [(f"attn_{k}", (d, d)) for k in ("wq", "wk", "wv", "wo")]
+    return segs + [("out_w", (w, 2)), ("out_b", (2,))]
 
 
 def _traced(v):
@@ -85,18 +102,7 @@ class VelocityNet:
         self.n_tokens = N_TOKENS
         self.d_token = width // N_TOKENS
         self.attn_at = depth // 2
-
-        segs = [("time_freq", (n_freq,)),
-                ("cls_table", (n_classes + 1, width)),
-                ("cfg_proj", (width, width)),
-                ("in_w", (2, width)), ("in_b", (width,))]
-        for i in range(depth):
-            segs += [(f"h{i}_w", (width, width)), (f"h{i}_b", (width,))]
-        d = self.d_token
-        segs += [("attn_wq", (d, d)), ("attn_wk", (d, d)),
-                 ("attn_wv", (d, d)), ("attn_wo", (d, d))]
-        segs += [("out_w", (width, 2)), ("out_b", (2,))]
-        self.params = ParamVector(segs)
+        self.params = ParamVector(net_segments(n_classes, self.spec))
         self._init_params(seed, zero_out)
 
     def _init_params(self, seed, zero_out):
@@ -132,8 +138,7 @@ class VelocityNet:
         """
         if isinstance(v, np.ndarray) and v.size > 1 and np.all(v == v.flat[0]):
             v = v[:1]
-        args = reshape(v * scale, (-1, 1)) * P["time_freq"]
-        return cat([sin(args), cos(args)], axis=-1)
+        return sincos(reshape(v * scale, (-1, 1)) * P["time_freq"])
 
     def _core(self, P, x, t, y, cfg, collect_hidden=False):
         emb_t = self._embed(P, t, self.c_noise_scale)
@@ -144,7 +149,7 @@ class VelocityNet:
         for i in range(self.depth):
             if i == self.attn_at:
                 h = h + self._attn(P, h)
-            h = silu(h @ P[f"h{i}_w"] + P[f"h{i}_b"])
+            h = dense_silu([h, P[f"h{i}_w"], P[f"h{i}_b"]])
             if collect_hidden:
                 hidden.append(h)
         out = h @ P["out_w"] + P["out_b"]
@@ -225,7 +230,9 @@ class VelocityNet:
         """Static hyperparameters needed to rebuild the net from a checkpoint."""
         return {"n_classes": self.n_classes, **asdict(self.spec)}
 
-    @classmethod
-    def from_meta(cls, meta):
-        """Rebuild from ``meta()``; other keys of ``meta`` are ignored."""
-        return cls(meta["n_classes"], **{f.name: meta[f.name] for f in fields(NetSpec)})
+    @staticmethod
+    def spec_of(meta):
+        """(n_classes, NetSpec) to rebuild a net from its ``meta()``; other
+        keys of ``meta`` are ignored."""
+        return meta["n_classes"], NetSpec(**{f.name: meta[f.name] for f in fields(NetSpec)})
+

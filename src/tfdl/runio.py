@@ -18,7 +18,7 @@ import numpy as np
 
 from .distill import DistillConfig
 from .errors import ConfigurationError
-from .net import NetSpec, VelocityNet
+from .net import NetSpec, VelocityNet, net_segments
 from .schedule import TimestepDistribution
 from .teacher import TeacherConfig
 
@@ -157,14 +157,18 @@ def load_net(path):
     header, flat = load_checkpoint(path)
     try:
         meta = header["meta"]
-        net = VelocityNet.from_meta(meta)
+        n_classes, spec = VelocityNet.spec_of(meta)
+        # the layout is checked before the net is built, so a header cannot
+        # make the reader allocate a net that its payload does not fill
+        fits = ([(n, tuple(header["shapes"][n])) for n in header["segments"]]
+                == net_segments(n_classes, spec))
+        net = VelocityNet(n_classes, **asdict(spec)) if fits else None
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, f"cannot rebuild the net from its metadata ({exc!r})") from None
-    p = net.params
-    if ([(n, tuple(header["shapes"][n])) for n in header["segments"]]
-            != [(n, p.shapes[n]) for n in p.names]):
-        raise _malformed(path, "segment names or shapes differ from the rebuilt net")
-    p.flat[:] = flat
+    if net is None:
+        raise _malformed(path, "segment names or shapes differ from the net its metadata "
+                               "describes")
+    net.params.flat[:] = flat
     return net, {k: v for k, v in meta.items()
                  if k not in net.meta() and k not in ("n_tokens", "attention")}
 

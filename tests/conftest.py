@@ -16,6 +16,13 @@ from tfdl.autodiff import reshape
 from tfdl.trigflow import TrigFlowAdapter
 
 
+def fresh_process_env(**extra):
+    """Environment of a child Python process that imports this checkout's tfdl."""
+    src = os.path.dirname(os.path.dirname(tfdl.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 class AnalyticGaussianFM:
     """Closed-form optimal flow velocity for matched unit Gaussians.
 

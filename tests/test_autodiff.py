@@ -1,12 +1,16 @@
 """Forward-mode and reverse-mode engine checks against finite differences."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from tfdl.autodiff import (PRIMITIVES, Dual, Var, cat, cos, exp, relu, reshape, silu, sin,
-                           softmax, sqrt, take_rows, vmean, vsum)
+import tfdl
+from tfdl.autodiff import (PRIMITIVES, Dual, Var, cat, cos, dense_silu, exp, relu, reshape,
+                           silu, sin, sincos, softmax, sqrt, take_rows, vmean, vsum)
+from tfdl.net import _ROW_BLOCK
+from tfdl.teacher import _fm_objective
 
 
 def test_dual_product_rule_t_times_x():
@@ -156,8 +160,9 @@ BINARY_SHAPES = {
 }
 ELEMENTWISE_SHAPES = [((4, 1), (1, 3)), ((3,), (2, 3)), ((2, 3), (3,)), ((2, 3), (2, 3))]
 # (static kwargs, operand shapes) per case of each list entry; attention runs
-# 3 rows of 4 tokens of width 3: h, then wq, wk, wv, wo
+# 3 rows of 4 tokens of width 3: h, then wq, wk, wv, wo; dense_silu takes x, W, b
 LIST_CASES = {
+    "dense_silu": [({}, [(5, 3), (3, 4), (4,)])],
     "cat": [({"axis": -1}, [(4, 1), (4, 3), (4, 2)]), ({"axis": 0}, [(1, 3), (2, 3), (3, 3)])],
     "attention": [({"n_tokens": 4, "qk_norm": qk_norm}, [(3, 12)] + [(3, 3)] * 4)
                   for qk_norm in (True, False)],
@@ -228,3 +233,106 @@ def test_primitive_rules(name):
                     rhs += float(np.sum(leaf.grad * v))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
     assert n_cases > 0
+
+
+# -- fused entries against their composed oracles -------------------------------
+# dense_silu and sincos keep the order of operations of the entries they fuse,
+# so every mode must reproduce the composed graph exactly, not just closely.
+
+FUSED = {
+    "dense_silu": (dense_silu, lambda xs: silu(xs[0] @ xs[1] + xs[2]),
+                   lambda rng, n: [rng.standard_normal((n, 16)), rng.standard_normal((16, 24)),
+                                   rng.standard_normal(24)]),
+    "sincos": (lambda xs: sincos(xs[0]), lambda xs: cat([sin(xs[0]), cos(xs[0])], axis=-1),
+               lambda rng, n: [3.0 * rng.standard_normal((n, 16))]),
+}
+
+
+@pytest.mark.parametrize("rows", [96, 2 * _ROW_BLOCK + 3])
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_entry_equals_composed_oracle(name, rows):
+    fused, composed, operands = FUSED[name]
+    rng = np.random.default_rng(rows)
+    xs = operands(rng, rows)
+    np.testing.assert_array_equal(fused(xs), composed(xs))
+    duals = [Dual(x, rng.standard_normal(x.shape)) for x in xs]
+    a, b = fused(duals), composed(duals)
+    np.testing.assert_array_equal(a.p, b.p)
+    np.testing.assert_array_equal(a.t, b.t)
+    u = rng.standard_normal(a.p.shape)
+    grads = []
+    for f in (fused, composed):
+        leaves = [Var(x) for x in xs]
+        out = f(leaves)
+        vsum(out * u).backward()
+        grads.append((out.v, [leaf.grad for leaf in leaves]))
+    np.testing.assert_array_equal(grads[0][0], grads[1][0])
+    for ga, gb in zip(grads[0][1], grads[1][1]):
+        np.testing.assert_array_equal(ga, gb)
+
+
+# -- tape release ----------------------------------------------------------------
+
+def _tape_nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def _net_tape(rows, width=32):
+    net = tfdl.VelocityNet(3, width=width, n_freq=width // 2, seed=0, zero_out=False)
+    rng = np.random.default_rng(0)
+    leaves = net.params.as_vars()
+    out = net.forward(rng.standard_normal((rows, 2)), rng.uniform(0, 1, rows),
+                      rng.integers(0, 4, rows), cfg=4.5, params=leaves)
+    return out, leaves
+
+
+def test_backward_releases_the_tape():
+    out, leaves = _net_tape(96)
+    assert len(_tape_nodes(out)) <= 38  # 19 of them parameter leaves
+    loss = vmean(out * out)
+    nodes = _tape_nodes(loss)
+    interior = [n for n in nodes if n._vjp is not None]
+    loss.backward()
+    assert all(n._vjp is None and n._parents is None for n in interior)
+    assert all(n.grad is None for n in interior if n is not loss)
+    assert loss.grad is not None and all(leaf.grad is not None for leaf in leaves.values())
+
+
+def test_second_backward_through_a_consumed_tape_raises():
+    out, _ = _net_tape(8)
+    loss, shared = vmean(out), vsum(out)
+    loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        shared.backward()
+    leaf = Var(np.ones(()))
+    leaf.backward()
+    leaf.backward()  # a leaf holds no tape to consume
+    assert leaf.grad == 1.0
+
+
+def test_backward_peak_stays_near_the_forward_tape():
+    # the teacher objective at its default batch; freeing each closure once its
+    # VJP has run keeps the backward's high-water mark near the tape it walks
+    net = tfdl.VelocityNet(3, seed=1)
+    rng = np.random.default_rng(2)
+    x0, z = rng.standard_normal((256, 2)), rng.standard_normal((256, 2))
+    t, y = rng.uniform(0, 1, 256), rng.integers(0, 4, 256)
+    tracemalloc.start()
+    try:
+        leaves = net.params.as_vars()
+        loss = _fm_objective(net, leaves, x0, y, t, z)
+        tape = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * tape, (peak, tape)

@@ -1,7 +1,7 @@
 """Distillation-loop contracts: tangents, stop-gradient, hinge losses, warmup."""
 
 import ctypes
-import os
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tfdl
-from conftest import AnalyticGaussianFM
+from conftest import AnalyticGaussianFM, fresh_process_env
 from tfdl.distill import (DistillConfig, _generator_objective, _tangent_and_value, draw,
                           hinge_disc, hinge_gen, init_distill, scm_objective, scm_target)
 from tfdl.errors import TrainingDivergence
@@ -257,6 +257,28 @@ def test_config_validation():
         TimestepDistribution(0.0, -1.0)
 
 
+_THREAD_PROBE = """
+import json
+import numpy as np
+import tfdl
+ds = tfdl.generate("gauss-mix", 4000, seed=0)
+_, rows = tfdl.run_distill(tfdl.VelocityNet(3, seed=1, zero_out=False), ds,
+                           tfdl.DistillConfig(iters=8), np.random.default_rng(0))
+print(json.dumps(rows))
+"""
+
+
+def test_metric_rows_do_not_depend_on_blas_threads():
+    # grad_norm sums its squares with numpy's own pairwise sum: a threaded BLAS
+    # dot splits the sum by thread and moved it in the last digits on 2 of 8 rows
+    rows = [json.loads(subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE], env=fresh_process_env(OPENBLAS_NUM_THREADS=n),
+        capture_output=True, text=True, check=True, timeout=300).stdout)
+        for n in ("1", "2")]
+    assert len(rows[0]) == 8
+    assert rows[0] == rows[1]
+
+
 _FAULT_PROBE = """
 import resource
 import numpy as np
@@ -297,10 +319,7 @@ def test_steady_state_training_takes_few_page_faults():
     # A fresh process: the test process's own heap history would move the
     # count. Unpinned, glibc trims and regrows the heap on every step, at about
     # 2400 minor faults per distill step and 90 per teacher iteration.
-    src = os.path.dirname(os.path.dirname(tfdl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=fresh_process_env(),
                          capture_output=True, text=True, check=True, timeout=300)
     per_step, per_iter = map(float, out.stdout.split())
     assert per_step < 100

@@ -1,11 +1,14 @@
 """Distribution metrics, config round-trips, and checkpoint persistence."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import tfdl
+from conftest import fresh_process_env
 from tfdl.errors import ConfigurationError, NumericsError
 from tfdl.metrics import (_MMD_TILE, _lift, _sliced_w2_dirs, _tile_sum, evaluate, mmd_rbf,
                           sliced_w2)
@@ -317,6 +320,33 @@ def test_checkpoint_with_other_token_count_is_rejected(tmp_path):
     save_params(path, ParamVector(segs), meta={**net.meta(), "n_tokens": 4, "sigma_d": 0.5})
     with pytest.raises(ConfigurationError, match="segment names or shapes"):
         load_net(path)
+
+
+_OVERSIZED_PROBE = """
+import resource, sys
+from tfdl.errors import ConfigurationError
+from tfdl.runio import load_net
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    load_net(sys.argv[1])
+    print("loaded")
+except ConfigurationError as exc:
+    print("rejected", exc)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_oversized_header_is_rejected_before_allocating(tmp_path):
+    # a class count of 100,000 over a 3-class payload describes a 100 MB table;
+    # the layout check must reject it before any net is built
+    net = tfdl.VelocityNet(3, seed=8)
+    path = tmp_path / "oversized.ckpt"
+    save_params(path, net.params, meta={**net.meta(), "n_classes": 100_000})
+    out = subprocess.run([sys.executable, "-c", _OVERSIZED_PROBE, str(path)],
+                         env=fresh_process_env(), capture_output=True, text=True,
+                         check=True, timeout=300).stdout.splitlines()
+    assert out[0].startswith("rejected") and "segment names or shapes" in out[0]
+    assert float(out[1]) < 20.0  # MB of peak RSS grown by the rejected load
 
 
 def test_checkpoint_missing_file(tmp_path):
