@@ -29,10 +29,10 @@ print("\nperturb checks: fm t=0.25 ->", perturb(fm, x0, z, 0.25)[0],
       " trig t=0 ->", perturb(tg, x0, z, 0.0)[0])
 
 rng = np.random.default_rng(0)
-gen = TimestepDistribution(0.0, 1.6, sigma_d=0.5, max_time_prob=0.5)
-disc = TimestepDistribution(-0.6, 1.0, sigma_d=0.5, max_time_prob=0.0)
-g = sample_t(gen, rng, 10 ** 5)
-d = sample_t(disc, rng, 10 ** 5)
+gen = TimestepDistribution(0.0, 1.6, max_time_prob=0.5)
+disc = TimestepDistribution(-0.6, 1.0, max_time_prob=0.0)
+g = sample_t(gen, tg.sigma_d, rng, 10 ** 5)
+d = sample_t(disc, tg.sigma_d, rng, 10 ** 5)
 print(f"\nstudent timestep draws: median {np.median(g[g < HALF_PI]):.3f}, "
       f"max-time fraction {np.mean(g == HALF_PI):.3f}")
 print(f"critic timestep draws:  median {np.median(d):.3f}, "

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -26,11 +26,6 @@ from .sampler import default_schedule, multistep_sample, search_timesteps
 from .teacher import train_teacher
 from .toydata import generate
 from .trigflow import TrigFlowAdapter
-
-
-def _load_config(path):
-    with open(path) as fh:
-        return runio.RunConfig.from_json(fh.read())
 
 
 def _out(args, name):
@@ -66,23 +61,21 @@ def _write_dataset(args, ds):
 def _sample(cfg, args):
     """``eval_samples`` points from the ``--ckpt`` net at ``--steps`` steps.
 
-    Returns (dataset, rng, seed, labels, points); the rng has drawn the
-    labels and the sampler's noise.
+    Returns (dataset, rng, labels, points); the rng has drawn the labels and noise.
     """
     ds = generate(**asdict(cfg.dataset))
     student = _adapter_from_ckpt(args.ckpt, ds)
-    seed = args.seed if args.seed is not None else cfg.eval_seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.eval_seed)
     y = rng.integers(0, ds.n_classes, cfg.eval_samples)
     sched = default_schedule(args.steps, student.sigma_d)
     pts = multistep_sample(student, sched, cfg.eval_samples, y, cfg.eval_cfg_scale, rng)
-    return ds, rng, seed, y, pts
+    return ds, rng, y, pts
 
 
 def cmd_pretrain(cfg, args):
     ds = generate(**asdict(cfg.dataset))
     net = VelocityNet(ds.n_classes, **asdict(cfg.net), seed=cfg.teacher_seed)
-    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.teacher_seed)
+    rng = np.random.default_rng(cfg.teacher_seed)
     net, curve = train_teacher(net, ds, cfg.teacher, rng)
     runio.save_net(_out(args, "teacher.ckpt"), net, {"sigma_d": ds.sigma_d, "role": "teacher"})
     runio.write_csv(_out(args, "teacher_loss.csv"), ["iter", "loss"], curve)
@@ -94,7 +87,7 @@ def cmd_pretrain(cfg, args):
 def cmd_distill(cfg, args):
     ds = generate(**asdict(cfg.dataset))
     teacher_net, _ = _load_checked(args.ckpt, ds, role="teacher")
-    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.distill_seed)
+    rng = np.random.default_rng(cfg.distill_seed)
     every = max(1, cfg.distill.iters // 4)
 
     def on_step(state, row):
@@ -116,7 +109,7 @@ def cmd_distill(cfg, args):
 
 
 def cmd_sample(cfg, args):
-    _, _, _, y, pts = _sample(cfg, args)
+    _, _, y, pts = _sample(cfg, args)
     runio.write_samples_csv(_out(args, f"samples_{args.steps}step.csv"), pts, y)
     runio.scatter_svg(_out(args, f"samples_{args.steps}step.svg"), pts, y,
                       title=f"{args.steps}-step samples")
@@ -135,10 +128,9 @@ def cmd_search_steps(cfg, args):
         return sliced_w2(samples, ref, seed=cfg.eval_seed)
 
     grid = [0.05, 0.1, 0.15] + [round(t, 2) for t in np.arange(0.2, 1.55, 0.1)]
-    seed = args.seed if args.seed is not None else cfg.eval_seed
     sched, table = search_timesteps(student, metric, args.steps, grid,
                                     cfg.eval_samples, y, cfg.eval_cfg_scale,
-                                    eval_seed=seed)
+                                    eval_seed=cfg.eval_seed)
     runio.write_csv(_out(args, "search_table.csv"),
                     ["step_index", "candidate_t", "metric"], table)
     with open(_out(args, "schedule.json"), "w") as fh:
@@ -148,9 +140,9 @@ def cmd_search_steps(cfg, args):
 
 
 def cmd_eval(cfg, args):
-    ds, rng, seed, _, pts = _sample(cfg, args)
+    ds, rng, _, pts = _sample(cfg, args)
     ref = ds.points[rng.integers(0, len(ds), cfg.eval_samples)]
-    report = evaluate(pts, ref, seed=seed)
+    report = evaluate(pts, ref, seed=cfg.eval_seed)
     path = _out(args, f"eval_{args.steps}step.json")
     with open(path, "w") as fh:
         json.dump(report.__dict__, fh, indent=2, sort_keys=True)
@@ -165,13 +157,13 @@ def cmd_plot(cfg, args):
     return 0
 
 
-# subcommand -> (handler, the flags it reads besides --config and --out)
-COMMANDS = {"pretrain": (cmd_pretrain, ("--seed",)),
-            "distill": (cmd_distill, ("--seed", "--ckpt")),
-            "sample": (cmd_sample, ("--seed", "--ckpt", "--steps")),
-            "search-steps": (cmd_search_steps, ("--seed", "--ckpt", "--steps")),
-            "eval": (cmd_eval, ("--seed", "--ckpt", "--steps")),
-            "plot": (cmd_plot, ())}
+# subcommand -> (handler, flags it reads besides --config/--out, seed its --seed replaces)
+COMMANDS = {"pretrain": (cmd_pretrain, ("--seed",), "teacher_seed"),
+            "distill": (cmd_distill, ("--seed", "--ckpt"), "distill_seed"),
+            "sample": (cmd_sample, ("--seed", "--ckpt", "--steps"), "eval_seed"),
+            "search-steps": (cmd_search_steps, ("--seed", "--ckpt", "--steps"), "eval_seed"),
+            "eval": (cmd_eval, ("--seed", "--ckpt", "--steps"), "eval_seed"),
+            "plot": (cmd_plot, (), None)}
 
 FLAGS = {"--seed": {"type": int, "default": None},
          "--ckpt": {"required": True},
@@ -181,7 +173,7 @@ FLAGS = {"--seed": {"type": int, "default": None},
 def _parser():
     p = argparse.ArgumentParser(prog="tfdl")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    for name, (_, flags, _) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
@@ -196,14 +188,18 @@ def cli(argv):
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    handler, _, seed_key = COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config)
+        with open(args.config) as fh:
+            cfg = runio.RunConfig.from_json(fh.read())
+        if getattr(args, "seed", None) is not None:
+            cfg = replace(cfg, **{seed_key: args.seed})
     except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+        print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
         return 3
     args.out = args.out or cfg.out_dir
     try:
-        return COMMANDS[args.command][0](cfg, args)
+        return handler(cfg, args)
     except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

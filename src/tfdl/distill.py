@@ -27,7 +27,7 @@ import numpy as np
 
 from .autodiff import (Dual, dense_silu, exp as vexp, primal, relu, reshape, sincos, vmean,
                        vsum)
-from .errors import NumericsError, TrainingDivergence
+from .errors import NumericsError, TrainingDivergence, check_fields
 from .optim import Adam, ParamVector
 from .schedule import TimestepDistribution, mix_max_time, sample_t, trig_perturb
 from .toydata import batch_arrays, minibatch_arrays
@@ -38,40 +38,24 @@ DATA_DIM = 2
 
 @dataclass
 class DistillConfig:
-    lr: float = 1e-4
-    iters: int = 4000
-    batch: int = 96
-    lambda_adv: float = 0.5
+    lr: float = field(default=1e-4, metadata={"gt": 0})
+    iters: int = field(default=4000, metadata={"ge": 1})
+    batch: int = field(default=96, metadata={"ge": 1})
+    lambda_adv: float = field(default=0.5, metadata={"ge": 0})
     # tangent ramp length in steps: r = min(1, (step + 0.5) / warmup_steps)
-    warmup_steps: int = 500
-    tangent_c: float = 0.1
-    gen_tdist: TimestepDistribution = field(
-        default_factory=lambda: TimestepDistribution(0.0, 1.6, None, 0.5))
-    disc_tdist: TimestepDistribution = field(
-        default_factory=lambda: TimestepDistribution(-0.6, 1.0, None, 0.0))
-    cfg_scales: tuple = (4.0, 4.5, 5.0)
+    warmup_steps: int = field(default=500, metadata={"ge": 1})
+    tangent_c: float = field(default=0.1, metadata={"gt": 0})
+    gen_tdist: TimestepDistribution = TimestepDistribution(0.0, 1.6, 0.5)   # frozen: shareable
+    disc_tdist: TimestepDistribution = TimestepDistribution(-0.6, 1.0, 0.0)
+    cfg_scales: tuple[float, ...] = (4.0, 4.5, 5.0)
     use_scm: bool = True
-    head_width: int = 64
-    wphi_width: int = 32
+    head_width: int = field(default=64, metadata={"ge": 1})
+    wphi_width: int = field(default=32, metadata={"ge": 1})
 
     def __post_init__(self):
-        for key in ("iters", "batch"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, not {getattr(self, key)}")
-        if len(self.cfg_scales) == 0 or not np.all(np.isfinite(self.cfg_scales)):
-            raise ValueError("cfg_scales must be non-empty and finite")
-        if self.lambda_adv < 0:
-            raise ValueError("lambda_adv must be non-negative")
-        if self.warmup_steps < 1:
-            raise ValueError(f"warmup_steps must be at least 1, not {self.warmup_steps}")
-        if self.tangent_c <= 0:
-            raise ValueError("tangent_c must be positive")
+        check_fields(self)
         if not self.use_scm and self.lambda_adv == 0:
             raise ValueError("at least one of the consistency and adversarial terms must be on")
-        for key in ("gen_tdist", "disc_tdist"):
-            if getattr(self, key).sigma_d is not None:
-                raise ValueError(f"{key}.sigma_d must be null, as the dataset sets it, "
-                                 f"not {getattr(self, key).sigma_d}")
 
 
 class AdaptiveWeight:
@@ -153,8 +137,7 @@ def init_distill(teacher_net, ds, config, seed=0):
     wphi = AdaptiveWeight(width=config.wphi_width, seed=seed + 2)
     return DistillState(
         student=student, teacher=teacher, heads=heads, wphi=wphi,
-        gen_tdist=config.gen_tdist.with_sigma_d(ds.sigma_d),
-        disc_tdist=config.disc_tdist.with_sigma_d(ds.sigma_d),
+        gen_tdist=config.gen_tdist, disc_tdist=config.disc_tdist,
         opt_student=Adam(student_net.params.size, config.lr),
         opt_wphi=Adam(wphi.params.size, config.lr),
         opt_heads=Adam(heads.params.size, config.lr),
@@ -180,14 +163,14 @@ class StepDraws:
 def draw(state, batch, rng, cfg_scales, adversarial=True):
     """Draw z, the base t and cfg, then (adversarial) t_gan and s for a batch."""
     x0, y = batch_arrays(batch)
-    b = len(x0)
-    z = state.student.sigma_d * rng.standard_normal((b, DATA_DIM))
-    t = sample_t(replace(state.gen_tdist, max_time_prob=0.0), rng, b)
+    b, sd = len(x0), state.student.sigma_d
+    z = sd * rng.standard_normal((b, DATA_DIM))
+    t = sample_t(replace(state.gen_tdist, max_time_prob=0.0), sd, rng, b)
     cfg = float(rng.choice(cfg_scales))
     if not adversarial:
         return StepDraws(x0, y, z, t, cfg)
     t_gan = mix_max_time(t, state.gen_tdist.max_time_prob, rng)
-    return StepDraws(x0, y, z, t, cfg, t_gan, sample_t(state.disc_tdist, rng, b))
+    return StepDraws(x0, y, z, t, cfg, t_gan, sample_t(state.disc_tdist, sd, rng, b))
 
 
 # -- consistency branch ------------------------------------------------------

@@ -29,13 +29,13 @@ for reverse-mode gradients (value_and_grad).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Dual, attention, dense_silu, primal, reshape, sincos, take_rows
-from .errors import NumericsError
+from .errors import NumericsError, check_fields
 from .optim import ParamVector
 
 _ROW_BLOCK = 512  # rows per block of a plain forward; keeps temporaries in L2
@@ -46,13 +46,14 @@ N_TOKENS = 8       # tokens a hidden row splits into for the attention block
 class NetSpec:
     """The net's hyperparameters besides its class count: the run config's
     ``net`` section, and with ``n_classes`` a checkpoint's rebuild metadata."""
-    width: int = 128
-    depth: int = 4
-    n_freq: int = 64
+    width: int = field(default=128, metadata={"ge": 1})
+    depth: int = field(default=4, metadata={"ge": 1})
+    n_freq: int = field(default=64, metadata={"ge": 1})
     qk_norm: bool = True
-    c_noise_scale: float = 1.0
+    c_noise_scale: float = field(default=1.0, metadata={"gt": 0})
 
     def __post_init__(self):
+        check_fields(self)
         if self.width != 2 * self.n_freq:
             raise ValueError(f"width must equal 2*n_freq so the time embedding adds "
                              f"directly (width {self.width}, n_freq {self.n_freq})")

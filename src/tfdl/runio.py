@@ -12,15 +12,16 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
 from .distill import DistillConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields, field_types
 from .net import NetSpec, VelocityNet, net_segments
 from .schedule import TimestepDistribution
 from .teacher import TeacherConfig
+from .toydata import DATASET_NAMES
 
 CKPT_SCHEMA = 1
 
@@ -33,16 +34,14 @@ PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 @dataclass
 class DatasetSpec:
     """Arguments of ``toydata.generate``."""
-    name: str = "gauss-mix"
-    n: int = 20000
-    seed: int = 0
-    components: int = 3
-    comp_std: float = 0.3
-    radius: float = 2.0
+    name: str = field(default="gauss-mix", metadata={"choices": DATASET_NAMES})
+    n: int = field(default=20000, metadata={"ge": 2})
+    seed: int = field(default=0, metadata={"ge": 0})
+    components: int = field(default=3, metadata={"ge": 1})
+    comp_std: float = field(default=0.3, metadata={"gt": 0})
+    radius: float = field(default=2.0, metadata={"ge": 0})
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"dataset n must be at least 2, not {self.n}")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -51,39 +50,38 @@ class RunConfig:
     net: NetSpec = field(default_factory=NetSpec)
     teacher: TeacherConfig = field(default_factory=TeacherConfig)
     distill: DistillConfig = field(default_factory=DistillConfig)
-    teacher_seed: int = 1
-    distill_seed: int = 2
-    eval_seed: int = 3
+    teacher_seed: int = field(default=1, metadata={"ge": 0})
+    distill_seed: int = field(default=2, metadata={"ge": 0})
+    eval_seed: int = field(default=3, metadata={"ge": 0})
     eval_cfg_scale: float = 4.5
-    eval_samples: int = 4096
+    eval_samples: int = field(default=4096, metadata={"ge": 2})
     out_dir: str = "runs/default"
 
-    def __post_init__(self):
-        if self.eval_samples < 2:
-            raise ValueError(f"eval_samples must be at least 2, not {self.eval_samples}")
-        if not np.isfinite(self.eval_cfg_scale):
-            raise ValueError(f"eval_cfg_scale must be finite, not {self.eval_cfg_scale}")
+    __post_init__ = check_fields
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigurationError(f"unknown config key(s): {', '.join(unknown)}")
-        d["dataset"] = DatasetSpec(**d.get("dataset", {}))
-        d["net"] = NetSpec(**d.get("net", {}))
-        d["teacher"] = TeacherConfig(**d.get("teacher", {}))
-        dd = d.get("distill", {})
-        for key in ("gen_tdist", "disc_tdist"):
-            if key in dd and isinstance(dd[key], dict):
-                dd[key] = TimestepDistribution(**dd[key])
-        if "cfg_scales" in dd:
-            dd["cfg_scales"] = tuple(dd["cfg_scales"])
-        d["distill"] = DistillConfig(**dd)
-        return cls(**d)
+        return _build(cls, json.loads(text), "config")
+
+
+def _build(cls, d, name):
+    """The dataclass ``cls`` from the JSON section ``d`` called ``name``, with
+    lists as tuples and dataclass-typed fields built recursively. Unknown keys
+    and non-object sections raise ``ConfigurationError``; the ``sigma_d: null``
+    that an earlier ``to_json`` wrote into each timestep distribution is dropped."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, not {d!r}")
+    if cls is TimestepDistribution and d.get("sigma_d", 0) is None:
+        d = {k: v for k, v in d.items() if k != "sigma_d"}
+    types = field_types(cls)
+    unknown = sorted(set(d) - set(types))
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return cls(**{k: _build(types[k], v, k) if is_dataclass(types[k])
+                  else tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 # -- checkpoints -------------------------------------------------------------

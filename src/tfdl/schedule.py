@@ -16,13 +16,13 @@ All times are float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .autodiff import primal
-from .errors import DomainError
+from .errors import DomainError, check_fields
 
 HALF_PI = np.pi / 2
 
@@ -93,22 +93,14 @@ def snr(sched, t):
 @dataclass(frozen=True)
 class TimestepDistribution:
     """t = arctan(exp(tau)/sigma_d), tau ~ N(p_mean, p_std^2), with an extra
-    atom of mass ``max_time_prob`` at exactly t = pi/2."""
+    atom of mass ``max_time_prob`` at exactly t = pi/2; ``sample_t`` takes the
+    data's sigma_d where the times are drawn."""
 
     p_mean: float
-    p_std: float
-    sigma_d: Optional[float] = None
-    max_time_prob: float = 0.0
+    p_std: float = field(metadata={"gt": 0})
+    max_time_prob: float = field(default=0.0, metadata={"ge": 0, "le": 1})
 
-    def __post_init__(self):
-        if self.p_std <= 0:
-            raise ValueError("p_std must be positive")
-        if not 0.0 <= self.max_time_prob <= 1.0:
-            raise ValueError("max_time_prob must lie in [0, 1]")
-
-    def with_sigma_d(self, sigma_d):
-        return TimestepDistribution(self.p_mean, self.p_std, float(sigma_d),
-                                    self.max_time_prob)
+    __post_init__ = check_fields
 
 
 def mix_max_time(t, p, rng):
@@ -119,12 +111,9 @@ def mix_max_time(t, p, rng):
     return np.where(xi < p, HALF_PI, t)
 
 
-def sample_t(dist, rng, size=None):
-    """Draw training timesteps in (0, pi/2]."""
-    if dist.sigma_d is None:
-        raise ValueError("timestep distribution needs sigma_d before sampling")
+def sample_t(dist, sigma_d, rng, size=None):
+    """Draw training timesteps in (0, pi/2] from ``dist`` for data scale ``sigma_d``."""
     n = 1 if size is None else size
     tau = rng.normal(dist.p_mean, dist.p_std, n)
-    t = mix_max_time(np.arctan(np.exp(tau) / dist.sigma_d), dist.max_time_prob, rng)
+    t = mix_max_time(np.arctan(np.exp(tau) / sigma_d), dist.max_time_prob, rng)
     return float(t[0]) if size is None else t
-

@@ -7,12 +7,12 @@ that wraps it. Noise is standard Gaussian per the flow-matching convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import vmean, vsum
-from .errors import NumericsError, TrainingDivergence
+from .errors import NumericsError, TrainingDivergence, check_fields
 from .net import broadcast_rows
 from .optim import Adam
 from .schedule import fm_perturb
@@ -21,21 +21,14 @@ from .toydata import batch_arrays, minibatch_arrays
 
 @dataclass
 class TeacherConfig:
-    lr: float = 8e-4
-    lr_decay: str = "cosine"                   # "cosine" or "none"
-    iters: int = 2000
-    batch: int = 256
-    uncond_drop_prob: float = 0.1
-    log_every: int = 100
+    lr: float = field(default=8e-4, metadata={"gt": 0})
+    lr_decay: str = field(default="cosine", metadata={"choices": ("cosine", "none")})
+    iters: int = field(default=2000, metadata={"ge": 1})
+    batch: int = field(default=256, metadata={"ge": 1})
+    uncond_drop_prob: float = field(default=0.1, metadata={"ge": 0, "le": 1})
+    log_every: int = field(default=100, metadata={"ge": 1})
 
-    def __post_init__(self):
-        for key in ("iters", "batch", "log_every"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, not {getattr(self, key)}")
-        if self.lr_decay not in ("cosine", "none"):
-            raise ValueError(f"lr_decay must be 'cosine' or 'none', not {self.lr_decay!r}")
-        if not 0.0 <= self.uncond_drop_prob <= 1.0:
-            raise ValueError("uncond_drop_prob must lie in [0, 1]")
+    __post_init__ = check_fields
 
 
 def _fm_objective(net, params, x0, y, t, z):

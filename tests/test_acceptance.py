@@ -230,8 +230,8 @@ def test_criterion_08_stop_gradient_and_frozen_contracts(gauss_ds, teacher):
 
 
 def test_criterion_09_max_time_fraction():
-    dist = TimestepDistribution(0.0, 1.6, 0.5, max_time_prob=0.5)
-    draws = sample_t(dist, np.random.default_rng(11), 10 ** 5)
+    dist = TimestepDistribution(0.0, 1.6, max_time_prob=0.5)
+    draws = sample_t(dist, 0.5, np.random.default_rng(11), 10 ** 5)
     frac = float(np.mean(draws == HALF_PI))
     assert 0.49 <= frac <= 0.51
     _report(9, f"max-time atom hit {frac:.4f} of draws at p=0.5")

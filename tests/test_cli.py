@@ -1,6 +1,8 @@
 """Command-line contract: artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -130,6 +132,39 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     pytest.param("distill", "sigma_d",
                  {"disc_tdist": {"p_mean": -0.6, "p_std": 1.0, "sigma_d": 9.0, "max_time_prob": 0.0}},
                  id="distill-disc_tdist-sigma_d-9.0"),
+    # every value below loaded before each field checked its own type and range
+    ("net", "qk_norm", "no"),
+    ("teacher", "lr", -1),
+    ("distill", "lambda_adv", float("nan")),
+    ("net", "c_noise_scale", 0),
+    ("distill", "head_width", 0),
+    ("net", "depth", 0),
+    ("distill", "iters", 1.5),
+    ("dataset", "comp_std", float("nan")),
+    ("dataset", "components", 0),
+    (None, "teacher_seed", -1),
+    ("teacher", "lr", float("nan")),
+    ("teacher", "lr", 0),
+    ("distill", "lr", float("nan")),
+    ("distill", "lr", -1e-4),
+    ("distill", "tangent_c", float("nan")),
+    ("net", "c_noise_scale", float("nan")),
+    ("net", "c_noise_scale", -1.0),
+    pytest.param("distill", "p_mean",
+                 {"gen_tdist": {"p_mean": float("nan"), "p_std": 1.6, "max_time_prob": 0.5}},
+                 id="distill-gen_tdist-p_mean-nan"),
+    pytest.param("distill", "p_std",
+                 {"disc_tdist": {"p_mean": -0.6, "p_std": float("nan"), "max_time_prob": 0.0}},
+                 id="distill-disc_tdist-p_std-nan"),
+    ("dataset", "comp_std", -0.3),
+    ("distill", "use_scm", "yes"),
+    ("teacher", "batch", 2.5),
+    (None, "eval_seed", -1),
+    (None, "eval_samples", 4096.0),
+    ("dataset", "name", "nope"),
+    ("distill", "cfg_scales", ["a"]),
+    # an int beyond the float range, which math.isfinite cannot take
+    pytest.param("teacher", "lr", 10 ** 400, id="teacher-lr-10**400"),
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):
     # section None is a top-level RunConfig key; a dict value edits several keys
@@ -141,6 +176,68 @@ def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value
     bad.write_text(json.dumps(d))
     assert cli(["plot", "--config", str(bad)]) == 3
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _leaf_keys(cls, path=()):
+    """(key path, annotated type) of every leaf field under the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _leaf_keys(hints[f.name], path + (f.name,))
+        else:
+            yield path + (f.name,), hints[f.name]
+
+
+LEAF_KEYS = list(_leaf_keys(RunConfig))
+
+
+@pytest.mark.parametrize("path, annotated", LEAF_KEYS, ids=[".".join(p) for p, _ in LEAF_KEYS])
+def test_every_config_key_rejects_a_wrong_type(tmp_path, capsys, path, annotated):
+    # generated from the schema, so a field added without a checked
+    # __post_init__ fails here: a string for numbers and bools, a number for strings
+    d = json.loads(RunConfig().to_json())
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 1 if annotated is str else "1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert cli(["plot", "--config", str(bad), "--out", str(tmp_path / "out")]) == 3
+    assert path[-1] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# (command, the config seed its --seed replaces, checkpoint in the run directory)
+@pytest.mark.parametrize("command, seed_key, ckpt", [
+    ("pretrain", "teacher_seed", None),
+    ("distill", "distill_seed", "teacher.ckpt"),
+    ("sample", "eval_seed", "student.ckpt"),
+    ("search-steps", "eval_seed", "student.ckpt"),
+    ("eval", "eval_seed", "student.ckpt"),
+])
+def test_seed_flag_equals_config_seed(run_dir, tmp_path, command, seed_key, ckpt):
+    # --seed replaces the config seed everywhere it is used: the artifacts of
+    # --seed 7 are those of a config whose seed is 7, byte for byte
+    root, cfg_path = run_dir
+    d = json.loads(cfg_path.read_text())
+    d["teacher"]["iters"] = 5
+    ckpt_args = [] if ckpt is None else ["--ckpt", str(root / "out" / ckpt)]
+    flagged, edited = tmp_path / "flagged", tmp_path / "edited"
+    for out, seed_args, seed in ((flagged, ["--seed", "7"], d[seed_key]), (edited, [], 7)):
+        path = tmp_path / f"{out.name}.json"
+        path.write_text(json.dumps({**d, seed_key: seed}))
+        assert cli([command, "--config", str(path), "--out", str(out)]
+                   + seed_args + ckpt_args) == 0
+    names = sorted(p.name for p in flagged.iterdir())
+    assert names == sorted(p.name for p in edited.iterdir())
+    assert all((flagged / n).read_bytes() == (edited / n).read_bytes() for n in names)
+
+
+def test_negative_seed_flag_exits_3(tmp_path, capsys):
+    code = cli(["pretrain", "--config", str(_fresh_config(tmp_path)), "--seed", "-1"])
+    assert code == 3
+    assert "teacher_seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -227,7 +324,16 @@ def _nan_param(path):
     path.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _bad_schema, _flip_shape, _nan_param])
+def _string_qk_norm(path):
+    _rewrite_header(path, lambda h: h["meta"].update(qk_norm="no"))
+
+
+def _zero_c_noise_scale(path):
+    _rewrite_header(path, lambda h: h["meta"].update(c_noise_scale=0))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _bad_schema, _flip_shape, _nan_param,
+                                     _string_qk_norm, _zero_c_noise_scale])
 def test_malformed_checkpoint_exits_3(run_dir, tmp_path, capsys, corrupt):
     root, cfg_path = run_dir
     bad = tmp_path / "student.ckpt"

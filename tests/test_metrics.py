@@ -266,6 +266,15 @@ def test_runconfig_roundtrip():
     assert back.distill.cfg_scales == (3.0, 4.0)
 
 
+def test_runconfig_drops_null_sigma_d_of_older_configs():
+    # to_json once wrote a null sigma_d into each timestep distribution
+    d = json.loads(RunConfig().to_json())
+    assert "sigma_d" not in json.dumps(d)
+    for key in ("gen_tdist", "disc_tdist"):
+        d["distill"][key]["sigma_d"] = None
+    assert RunConfig.from_json(json.dumps(d)) == RunConfig()
+
+
 def test_runconfig_rejects_unknown_top_level_key():
     d = json.loads(RunConfig().to_json())
     d["eval_seeed"] = 4

@@ -53,30 +53,25 @@ def test_trig_unit_norm():
 
 
 def test_sample_t_always_max_time():
-    dist = TimestepDistribution(0.0, 1.6, 0.5, max_time_prob=1.0)
-    draws = sample_t(dist, np.random.default_rng(0), 1000)
+    dist = TimestepDistribution(0.0, 1.6, max_time_prob=1.0)
+    draws = sample_t(dist, 0.5, np.random.default_rng(0), 1000)
     assert np.all(draws == HALF_PI)
 
 
 def test_sample_t_max_time_fraction():
-    dist = TimestepDistribution(0.0, 1.6, 0.5, max_time_prob=0.5)
-    draws = sample_t(dist, np.random.default_rng(0), 10 ** 5)
+    dist = TimestepDistribution(0.0, 1.6, max_time_prob=0.5)
+    draws = sample_t(dist, 0.5, np.random.default_rng(0), 10 ** 5)
     frac = np.mean(draws == HALF_PI)
     assert 0.49 <= frac <= 0.51
 
 
 def test_sample_t_open_interval():
-    dist = TimestepDistribution(0.0, 1.6, 0.5, max_time_prob=0.0)
-    draws = sample_t(dist, np.random.default_rng(2), 10 ** 5)
+    dist = TimestepDistribution(0.0, 1.6, max_time_prob=0.0)
+    draws = sample_t(dist, 0.5, np.random.default_rng(2), 10 ** 5)
     assert np.all(draws > 0.0) and np.all(draws < HALF_PI)
 
 
 def test_sample_t_never_exceeds_bounds():
-    dist = TimestepDistribution(-0.6, 1.0, 1.3, max_time_prob=0.3)
-    draws = sample_t(dist, np.random.default_rng(3), 10 ** 4)
+    dist = TimestepDistribution(-0.6, 1.0, max_time_prob=0.3)
+    draws = sample_t(dist, 1.3, np.random.default_rng(3), 10 ** 4)
     assert np.all(draws > 0.0) and np.all(draws <= HALF_PI)
-
-
-def test_sample_t_requires_sigma_d():
-    with pytest.raises(ValueError):
-        sample_t(TimestepDistribution(0.0, 1.6), np.random.default_rng(0))

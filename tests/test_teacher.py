@@ -86,10 +86,12 @@ def test_train_teacher_rejects_zero_iters(small_ds):
 
 def test_train_teacher_divergence_reports_iteration(small_ds):
     # forced blow-ups: at lr 1e30 the loss overflows at iteration 2; at an
-    # infinite lr Adam's first update is already non-finite
+    # infinite lr Adam's first update is already non-finite. The config
+    # rejects an infinite lr, so it is set after construction.
     for lr, iteration in [(1e30, 2), (float("inf"), 0)]:
         net = tfdl.VelocityNet(small_ds.n_classes, seed=4)
-        cfg = tfdl.TeacherConfig(iters=5, lr=lr)
+        cfg = tfdl.TeacherConfig(iters=5)
+        cfg.lr = lr
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergence) as err:
                 train_teacher(net, small_ds, cfg, np.random.default_rng(1))
