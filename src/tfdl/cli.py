@@ -74,7 +74,7 @@ def _sample(cfg, args):
 
 def cmd_pretrain(cfg, args):
     ds = generate(**asdict(cfg.dataset))
-    net = VelocityNet(ds.n_classes, **asdict(cfg.net), seed=cfg.teacher_seed)
+    net = VelocityNet(ds.n_classes, cfg.net, seed=cfg.teacher_seed)
     rng = np.random.default_rng(cfg.teacher_seed)
     net, curve = train_teacher(net, ds, cfg.teacher, rng)
     runio.save_net(_out(args, "teacher.ckpt"), net, {"sigma_d": ds.sigma_d, "role": "teacher"})

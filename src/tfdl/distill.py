@@ -58,48 +58,40 @@ class DistillConfig:
             raise ValueError("at least one of the consistency and adversarial terms must be on")
 
 
-class AdaptiveWeight:
-    """Small MLP head w(t) on a sinusoidal embedding of the timestep."""
+class ScalarHeads:
+    """Small MLPs, head k on inputs of ``in_dims[k]`` features: a dense+SiLU
+    layer of ``width`` units, then one scalar per row. Weights start as scaled
+    normals drawn head by head, biases at zero. LADD's discriminator is one
+    head per tapped teacher depth; sCM's w(t) is one head (``adaptive_weight``)."""
 
-    def __init__(self, width=32, n_freq=64, seed=0):
-        self.freqs = np.geomspace(1.0, 1e3, n_freq)
-        d = 2 * n_freq
-        self.params = ParamVector([("w1", (d, width)), ("b1", (width,)),
-                                   ("w2", (width, 1)), ("b2", (1,))])
+    def __init__(self, in_dims, width, seed=0):
+        self.n_heads = len(in_dims)
+        self.params = ParamVector([seg for k, d in enumerate(in_dims) for seg in (
+            (f"h{k}_w1", (d, width)), (f"h{k}_b1", (width,)),
+            (f"h{k}_w2", (width, 1)), (f"h{k}_b2", (1,)))])
         rng = np.random.default_rng(seed)
-        self.params["w1"] = rng.standard_normal((d, width)) / np.sqrt(d)
-        self.params["w2"] = rng.standard_normal((width, 1)) / np.sqrt(width)
-
-    def forward(self, t, params=None):
-        P = self.params if params is None else params
-        emb = sincos(np.asarray(t, dtype=np.float64).reshape(-1, 1) * self.freqs)
-        h = dense_silu([emb, P["w1"], P["b1"]])
-        return reshape(h @ P["w2"] + P["b2"], (-1,))
-
-
-class DiscriminatorHeads:
-    """One tiny MLP scorer per tapped feature depth of the frozen teacher."""
-
-    def __init__(self, n_heads, feat_dim, width=64, seed=0):
-        segs = []
-        for k in range(n_heads):
-            segs += [(f"h{k}_w1", (feat_dim, width)), (f"h{k}_b1", (width,)),
-                     (f"h{k}_w2", (width, 1)), (f"h{k}_b2", (1,))]
-        self.n_heads = n_heads
-        self.params = ParamVector(segs)
-        rng = np.random.default_rng(seed)
-        for k in range(n_heads):
-            self.params[f"h{k}_w1"] = rng.standard_normal((feat_dim, width)) / np.sqrt(feat_dim)
+        for k, d in enumerate(in_dims):
+            self.params[f"h{k}_w1"] = rng.standard_normal((d, width)) / np.sqrt(d)
             self.params[f"h{k}_w2"] = rng.standard_normal((width, 1)) / np.sqrt(width)
 
-    def scores(self, feats, params=None):
-        """Per-head scalar scores, one (B,) array per tapped feature."""
+    def scores(self, inputs, params=None):
+        """One (B,) array of scalar outputs per head, head k reading ``inputs[k]``."""
         P = self.params if params is None else params
         out = []
-        for k, f in enumerate(feats):
+        for k, f in enumerate(inputs):
             h = dense_silu([f, P[f"h{k}_w1"], P[f"h{k}_b1"]])
             out.append(reshape(h @ P[f"h{k}_w2"] + P[f"h{k}_b2"], (-1,)))
         return out
+
+
+_WPHI_FREQS = np.geomspace(1.0, 1e3, 64)   # frequencies of w(t)'s time embedding
+
+
+def adaptive_weight(wphi, t, params=None):
+    """sCM's adaptive log-weight w(t): the single head of ``wphi`` on the
+    sinusoidal embedding ``[sin | cos](t * _WPHI_FREQS)``, one value per time."""
+    emb = sincos(np.asarray(t, dtype=np.float64).reshape(-1, 1) * _WPHI_FREQS)
+    return wphi.scores([emb], params)[0]
 
 
 @dataclass
@@ -113,8 +105,8 @@ class DistillState:
 
     student: TrigFlowAdapter
     teacher: TrigFlowAdapter
-    heads: DiscriminatorHeads
-    wphi: AdaptiveWeight
+    heads: ScalarHeads
+    wphi: ScalarHeads
     gen_tdist: TimestepDistribution
     disc_tdist: TimestepDistribution
     opt_student: Adam
@@ -132,9 +124,9 @@ def init_distill(teacher_net, ds, config, seed=0):
     student_net = teacher_net.spawn()
     teacher = TrigFlowAdapter(teacher_net, ds.sigma_d, teacher_cfg=True)
     student = TrigFlowAdapter(student_net, ds.sigma_d, teacher_cfg=False)
-    heads = DiscriminatorHeads(teacher_net.depth, teacher_net.width,
-                               width=config.head_width, seed=seed + 1)
-    wphi = AdaptiveWeight(width=config.wphi_width, seed=seed + 2)
+    spec = teacher_net.spec
+    heads = ScalarHeads([spec.width] * spec.depth, config.head_width, seed=seed + 1)
+    wphi = ScalarHeads([2 * len(_WPHI_FREQS)], config.wphi_width, seed=seed + 2)
     return DistillState(
         student=student, teacher=teacher, heads=heads, wphi=wphi,
         gen_tdist=config.gen_tdist, disc_tdist=config.disc_tdist,
@@ -198,7 +190,7 @@ def scm_objective(state, d, target, student_leaves=None, wphi_leaves=None):
     g, f_sg = target
     f_live = state.student.velocity(trig_perturb(d.x0, d.z, d.t), d.t, d.y, cfg=d.cfg,
                                     params=student_leaves)
-    w = state.wphi.forward(d.t, params=wphi_leaves)
+    w = adaptive_weight(state.wphi, d.t, params=wphi_leaves)
     resid = f_live - (f_sg + g)
     per = vexp(w) * (1.0 / DATA_DIM) * vsum(resid * resid, axis=1) - w
     return vmean(per)

@@ -40,10 +40,13 @@ class MetricReport:
 
 
 def _sliced_w2_dirs(a, b, dirs):
-    """Mean 1D transport distance (sorted-difference RMS) over given directions."""
-    pa = np.sort(a @ dirs.T, axis=0)
-    pb = np.sort(b @ dirs.T, axis=0)
-    return float(np.mean(np.sqrt(np.mean((pa - pb) ** 2, axis=0))))
+    """Mean 1D transport distance (sorted-difference RMS) over given directions;
+    each direction's projections are one contiguous row, sorted in place."""
+    pa, pb = dirs @ a.T, dirs @ b.T
+    pa.sort(axis=1)
+    pb.sort(axis=1)
+    pa -= pb
+    return float(np.mean(np.sqrt(np.mean(np.square(pa, out=pa), axis=1))))
 
 
 def _finite_points(a, b):

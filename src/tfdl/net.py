@@ -1,10 +1,12 @@
 """Conditional velocity network for 2D points.
 
-An MLP (width 128, depth 4, SiLU) with a single-head attention block over a
-token reshaping of the hidden state. Time enters through a sinusoidal
-embedding of ``c_noise_scale * t``; the guidance scale enters through an
-embedding of ``0.1 * cfg`` added to the time embedding; class conditions come
-from a learned table with one reserved null row for the unconditional branch.
+An MLP (SiLU; width 128 and depth 4 by default) with a single-head attention
+block over a token reshaping of the hidden state, placed before hidden layer
+``depth // 2``; the net is built from a ``NetSpec``, which holds every
+hyperparameter. Time enters through a sinusoidal embedding of
+``c_noise_scale * t``; the guidance scale enters through an embedding of
+``0.1 * cfg`` added to the time embedding; class conditions come from a
+learned table with one reserved null row for the unconditional branch.
 The attention block is one table entry, ``autodiff.attention``, with its own
 forward, JVP and transpose, so a tape holds one node per block; each
 dense+SiLU layer (``autodiff.dense_silu``) and each sinusoidal embedding
@@ -29,7 +31,7 @@ for reverse-mode gradients (value_and_grad).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -93,42 +95,37 @@ def broadcast_rows(v, n, dtype=np.float64):
 
 
 class VelocityNet:
-    """F(x, t, y, cfg) with value, forward-mode JVP, and reverse-mode gradient."""
+    """F(x, t, y, cfg) with value, forward-mode JVP, and reverse-mode gradient.
 
-    def __init__(self, n_classes, width=128, depth=4, n_freq=64, qk_norm=True,
-                 c_noise_scale=1.0, seed=0, zero_out=True):
-        self.spec = NetSpec(width, depth, n_freq, qk_norm, float(c_noise_scale))
-        vars(self).update(asdict(self.spec))  # net.width, net.depth, ... as attributes
+    ``self.spec`` is the only place the net reads a hyperparameter; ``seed``
+    draws the initial weights, and ``zero_out`` starts the output head at zero.
+    """
+
+    def __init__(self, n_classes, spec=NetSpec(), seed=0, zero_out=True):
         self.n_classes = n_classes
-        self.n_tokens = N_TOKENS
-        self.d_token = width // N_TOKENS
-        self.attn_at = depth // 2
-        self.params = ParamVector(net_segments(n_classes, self.spec))
-        self._init_params(seed, zero_out)
-
-    def _init_params(self, seed, zero_out):
-        rng = np.random.default_rng(seed)
-        p = self.params
+        self.spec = spec
+        self.params = p = ParamVector(net_segments(n_classes, spec))
+        rng, w = np.random.default_rng(seed), spec.width
         # top frequency capped so central differences at h=1e-5 stay a valid
         # oracle for the tangents: truncation ~ (f*h*|tan|)^2/6 per dimension
-        p["time_freq"] = np.geomspace(1.0, 300.0, self.n_freq)
+        p["time_freq"] = np.geomspace(1.0, 300.0, spec.n_freq)
         p["cls_table"] = 0.02 * rng.standard_normal(p.shapes["cls_table"])
-        p["in_w"] = rng.standard_normal((2, self.width)) / np.sqrt(2.0)
-        for i in range(self.depth):
-            p[f"h{i}_w"] = rng.standard_normal((self.width, self.width)) * np.sqrt(2.0 / self.width)
-        d = self.d_token
+        p["in_w"] = rng.standard_normal((2, w)) / np.sqrt(2.0)
+        for i in range(spec.depth):
+            p[f"h{i}_w"] = rng.standard_normal((w, w)) * np.sqrt(2.0 / w)
+        d = w // N_TOKENS
         for name in ("attn_wq", "attn_wk", "attn_wv"):
             p[name] = rng.standard_normal((d, d)) / np.sqrt(d)
         # attn_wo starts at zero: the block begins as an identity residual
         if not zero_out:
-            p["out_w"] = rng.standard_normal((self.width, 2)) / np.sqrt(self.width)
+            p["out_w"] = rng.standard_normal((w, 2)) / np.sqrt(w)
             p["out_b"] = 0.01 * rng.standard_normal(2)
 
     # -- shared forward ------------------------------------------------------
 
     def _attn(self, P, h):
         return attention([h, P["attn_wq"], P["attn_wk"], P["attn_wv"], P["attn_wo"]],
-                         n_tokens=self.n_tokens, qk_norm=self.qk_norm)
+                         n_tokens=N_TOKENS, qk_norm=self.spec.qk_norm)
 
     @staticmethod
     def _embed(P, v, scale):
@@ -142,13 +139,13 @@ class VelocityNet:
         return sincos(reshape(v * scale, (-1, 1)) * P["time_freq"])
 
     def _core(self, P, x, t, y, cfg, collect_hidden=False):
-        emb_t = self._embed(P, t, self.c_noise_scale)
+        emb_t = self._embed(P, t, self.spec.c_noise_scale)
         emb_c = self._embed(P, cfg, 0.1) @ P["cfg_proj"]
         cond = emb_t + take_rows(P["cls_table"], y) + emb_c
         h = x @ P["in_w"] + P["in_b"] + cond
         hidden = []
-        for i in range(self.depth):
-            if i == self.attn_at:
+        for i in range(self.spec.depth):
+            if i == self.spec.depth // 2:
                 h = h + self._attn(P, h)
             h = dense_silu([h, P[f"h{i}_w"], P[f"h{i}_b"]])
             if collect_hidden:
@@ -213,27 +210,19 @@ class VelocityNet:
     def time_embed_sensitivity(self, t):
         """Norm of the time-embedding derivative d emb(c_noise(t))/dt."""
         td = Dual(np.asarray([t], dtype=np.float64), np.ones(1))
-        emb = self._embed(self.params, td, self.c_noise_scale)
+        emb = self._embed(self.params, td, self.spec.c_noise_scale)
         return float(np.sqrt(np.sum(emb.t ** 2)))
 
     # -- construction helpers ---------------------------------------------
 
     def spawn(self, c_noise_scale=None):
         """Copy of this net, optionally with a different noise scale."""
-        spec = self.spec
-        if c_noise_scale is not None:
-            spec = replace(spec, c_noise_scale=c_noise_scale)
-        other = VelocityNet(self.n_classes, **asdict(spec))
+        other = VelocityNet(self.n_classes, self.spec if c_noise_scale is None
+                            else replace(self.spec, c_noise_scale=c_noise_scale))
         other.params.flat[:] = self.params.flat
         return other
 
     def meta(self):
         """Static hyperparameters needed to rebuild the net from a checkpoint."""
         return {"n_classes": self.n_classes, **asdict(self.spec)}
-
-    @staticmethod
-    def spec_of(meta):
-        """(n_classes, NetSpec) to rebuild a net from its ``meta()``; other
-        keys of ``meta`` are ignored."""
-        return meta["n_classes"], NetSpec(**{f.name: meta[f.name] for f in fields(NetSpec)})
 

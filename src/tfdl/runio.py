@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -64,24 +64,37 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text):
-        return _build(cls, json.loads(text), "config")
+        return _build(cls, json.loads(text))
 
 
-def _build(cls, d, name):
-    """The dataclass ``cls`` from the JSON section ``d`` called ``name``, with
-    lists as tuples and dataclass-typed fields built recursively. Unknown keys
-    and non-object sections raise ``ConfigurationError``; the ``sigma_d: null``
-    that an earlier ``to_json`` wrote into each timestep distribution is dropped."""
+# keys an earlier to_json wrote that are gone, each with the one value that
+# reproduces today's behaviour: that value loads and is dropped, any other exits 3
+RETIRED = {TimestepDistribution: {"sigma_d": None}, TeacherConfig: {"lr_decay": "cosine"}}
+
+
+def _build(cls, d, path=""):
+    """The dataclass ``cls`` from the JSON section ``d`` at the dotted key
+    ``path`` ("" for the whole config), with lists as tuples and dataclass
+    fields built recursively. Each ``ConfigurationError`` names its key's path."""
+    prefix, where = (f"{path}.", path) if path else ("", "config")
     if not isinstance(d, dict):
-        raise ConfigurationError(f"{name} must be a JSON object, not {d!r}")
-    if cls is TimestepDistribution and d.get("sigma_d", 0) is None:
-        d = {k: v for k, v in d.items() if k != "sigma_d"}
+        raise ConfigurationError(f"{where} must be a JSON object, not {d!r}")
+    retired = RETIRED.get(cls, {})
+    for key in retired.keys() & d.keys():
+        if d[key] != retired[key]:
+            raise ConfigurationError(f"{prefix}{key} is retired: only {json.dumps(retired[key])} "
+                                     f"loads, not {json.dumps(d[key])}")
+    d = {k: v for k, v in d.items() if k not in retired}
     types = field_types(cls)
     unknown = sorted(set(d) - set(types))
     if unknown:
-        raise ConfigurationError(f"unknown key(s) in {name}: {', '.join(unknown)}")
-    return cls(**{k: _build(types[k], v, k) if is_dataclass(types[k])
-                  else tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    args = {k: _build(types[k], v, prefix + k) if is_dataclass(types[k])
+            else tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+    try:
+        return cls(**args)
+    except ConfigurationError as exc:  # check_fields says "Class.key"; say "section.key"
+        raise ConfigurationError(prefix + str(exc).removeprefix(f"{cls.__name__}.")) from None
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -155,12 +168,13 @@ def load_net(path):
     header, flat = load_checkpoint(path)
     try:
         meta = header["meta"]
-        n_classes, spec = VelocityNet.spec_of(meta)
+        n_classes = meta["n_classes"]
+        spec = NetSpec(**{f.name: meta[f.name] for f in fields(NetSpec)})
         # the layout is checked before the net is built, so a header cannot
         # make the reader allocate a net that its payload does not fill
         fits = ([(n, tuple(header["shapes"][n])) for n in header["segments"]]
                 == net_segments(n_classes, spec))
-        net = VelocityNet(n_classes, **asdict(spec)) if fits else None
+        net = VelocityNet(n_classes, spec) if fits else None
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, f"cannot rebuild the net from its metadata ({exc!r})") from None
     if net is None:

@@ -111,9 +111,7 @@ def mix_max_time(t, p, rng):
     return np.where(xi < p, HALF_PI, t)
 
 
-def sample_t(dist, sigma_d, rng, size=None):
-    """Draw training timesteps in (0, pi/2] from ``dist`` for data scale ``sigma_d``."""
-    n = 1 if size is None else size
-    tau = rng.normal(dist.p_mean, dist.p_std, n)
-    t = mix_max_time(np.arctan(np.exp(tau) / sigma_d), dist.max_time_prob, rng)
-    return float(t[0]) if size is None else t
+def sample_t(dist, sigma_d, rng, size):
+    """``size`` training timesteps in (0, pi/2] from ``dist`` for data scale ``sigma_d``."""
+    tau = rng.normal(dist.p_mean, dist.p_std, size)
+    return mix_max_time(np.arctan(np.exp(tau) / sigma_d), dist.max_time_prob, rng)

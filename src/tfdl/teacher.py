@@ -22,7 +22,6 @@ from .toydata import batch_arrays, minibatch_arrays
 @dataclass
 class TeacherConfig:
     lr: float = field(default=8e-4, metadata={"gt": 0})
-    lr_decay: str = field(default="cosine", metadata={"choices": ("cosine", "none")})
     iters: int = field(default=2000, metadata={"ge": 1})
     batch: int = field(default=256, metadata={"ge": 1})
     uncond_drop_prob: float = field(default=0.1, metadata={"ge": 0, "le": 1})
@@ -56,14 +55,14 @@ def fm_loss(net, batch, rng, uncond_drop_prob=0.1):
 
 
 def train_teacher(net, ds, cfg, rng):
-    """Adam-train the net on standardized data; returns (net, loss curve)."""
+    """Adam-train the net on standardized data with a cosine learning-rate
+    decay from ``cfg.lr``; returns (net, loss curve)."""
     pts = ds.points / ds.sigma_d
     std_ds = type(ds)(ds.name, pts, ds.labels, 1.0, ds.n_classes)
     opt = Adam(net.params.size, cfg.lr)
     curve = []
     for it in range(cfg.iters):
-        if cfg.lr_decay == "cosine":
-            opt.lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * it / cfg.iters))
+        opt.lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * it / cfg.iters))
         x0, y = minibatch_arrays(std_ds, cfg.batch, rng)
         t, z, y = _draw_fm_noise(cfg.batch, net.n_classes, y, rng, cfg.uncond_drop_prob)
         try:

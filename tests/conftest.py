@@ -32,8 +32,6 @@ class AnalyticGaussianFM:
     """
 
     n_classes = 1
-    depth = 1
-    width = 2
 
     def forward(self, x, t, y, cfg=None, params=None, return_hidden=False):
         coef = (t * 2.0 - 1.0) / ((1.0 - t) * (1.0 - t) + t * t)
@@ -45,8 +43,6 @@ class ZeroFM:
     """Inner net that predicts zero velocity everywhere."""
 
     n_classes = 1
-    depth = 1
-    width = 2
 
     def forward(self, x, t, y, cfg=None, params=None, return_hidden=False):
         v = x * 0.0

@@ -14,9 +14,10 @@ import pytest
 
 import tfdl
 from conftest import AnalyticGaussianFM
-from tfdl.distill import (_generator_objective, _tangent_and_value, draw,
+from tfdl.distill import (_generator_objective, _tangent_and_value, adaptive_weight, draw,
                           init_distill, scm_target)
 from tfdl.metrics import sliced_w2
+from tfdl.net import NetSpec
 from tfdl.optim import Adam
 from tfdl.sampler import StepSchedule, default_schedule, multistep_sample, search_timesteps
 from tfdl.schedule import HALF_PI, TimestepDistribution, flow_matching, sample_t, snr, trigflow
@@ -165,8 +166,8 @@ def test_criterion_07_qk_norm_invariance():
     y = rng.integers(0, 3, 16)
     diffs = {}
     for qk_norm in (True, False):
-        net = tfdl.VelocityNet(3, seed=6, qk_norm=qk_norm, zero_out=False)
-        net.params["attn_wo"] = rng.standard_normal((net.d_token, net.d_token))
+        net = tfdl.VelocityNet(3, spec=NetSpec(qk_norm=qk_norm), seed=6, zero_out=False)
+        net.params["attn_wo"] = rng.standard_normal(net.params.shapes["attn_wo"])
         base = net.forward(x, t, y, cfg=0.0)
         net.params["attn_wq"] = net.params["attn_wq"] * 3.0
         net.params["attn_wk"] = net.params["attn_wk"] * 3.0
@@ -260,7 +261,7 @@ def test_criterion_10_adaptive_weight_fixed_point(gauss_ds, teacher):
     opt = Adam(state.wphi.params.size, 1e-2)
     for _ in range(1500):
         leaves = state.wphi.params.as_vars()
-        w = state.wphi.forward(ts, params=leaves)
+        w = adaptive_weight(state.wphi, ts, params=leaves)
         from tfdl.autodiff import exp as vexp, vmean
         obj = vmean(vexp(w) * losses - w)
         obj.backward()
@@ -268,7 +269,7 @@ def test_criterion_10_adaptive_weight_fixed_point(gauss_ds, teacher):
 
     products = []
     for i, tv in enumerate(t_grid):
-        w = np.asarray(state.wphi.forward(np.array([tv]))).item()
+        w = np.asarray(adaptive_weight(state.wphi, np.array([tv]))).item()
         lbar = float(np.mean(losses[i * 64:(i + 1) * 64]))
         products.append(np.exp(w) * lbar)
     products = np.asarray(products)

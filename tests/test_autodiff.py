@@ -9,7 +9,7 @@ import pytest
 import tfdl
 from tfdl.autodiff import (PRIMITIVES, Dual, Var, cat, cos, dense_silu, exp, relu, reshape,
                            silu, sin, sincos, softmax, sqrt, take_rows, vmean, vsum)
-from tfdl.net import _ROW_BLOCK
+from tfdl.net import _ROW_BLOCK, NetSpec
 from tfdl.teacher import _fm_objective
 
 
@@ -284,7 +284,8 @@ def _tape_nodes(root):
 
 
 def _net_tape(rows, width=32):
-    net = tfdl.VelocityNet(3, width=width, n_freq=width // 2, seed=0, zero_out=False)
+    net = tfdl.VelocityNet(3, spec=NetSpec(width=width, n_freq=width // 2), seed=0,
+                           zero_out=False)
     rng = np.random.default_rng(0)
     leaves = net.params.as_vars()
     out = net.forward(rng.standard_normal((rows, 2)), rng.uniform(0, 1, rows),

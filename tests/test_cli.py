@@ -126,10 +126,10 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     # every net has the attention block; the old switch is an unknown key
     ("net", "attention", False),
     # the timestep distributions take sigma_d from the dataset
-    pytest.param("distill", "sigma_d",
+    pytest.param("distill", "distill.gen_tdist.sigma_d",
                  {"gen_tdist": {"p_mean": 0.0, "p_std": 1.6, "sigma_d": 9.0, "max_time_prob": 0.5}},
                  id="distill-gen_tdist-sigma_d-9.0"),
-    pytest.param("distill", "sigma_d",
+    pytest.param("distill", "distill.disc_tdist.sigma_d",
                  {"disc_tdist": {"p_mean": -0.6, "p_std": 1.0, "sigma_d": 9.0, "max_time_prob": 0.0}},
                  id="distill-disc_tdist-sigma_d-9.0"),
     # every value below loaded before each field checked its own type and range
@@ -150,10 +150,11 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     ("distill", "tangent_c", float("nan")),
     ("net", "c_noise_scale", float("nan")),
     ("net", "c_noise_scale", -1.0),
-    pytest.param("distill", "p_mean",
+    # an error inside a timestep distribution names the distribution by its path
+    pytest.param("distill", "distill.gen_tdist.p_mean",
                  {"gen_tdist": {"p_mean": float("nan"), "p_std": 1.6, "max_time_prob": 0.5}},
                  id="distill-gen_tdist-p_mean-nan"),
-    pytest.param("distill", "p_std",
+    pytest.param("distill", "distill.disc_tdist.p_std",
                  {"disc_tdist": {"p_mean": -0.6, "p_std": float("nan"), "max_time_prob": 0.0}},
                  id="distill-disc_tdist-p_std-nan"),
     ("dataset", "comp_std", -0.3),
@@ -165,9 +166,12 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     ("distill", "cfg_scales", ["a"]),
     # an int beyond the float range, which math.isfinite cannot take
     pytest.param("teacher", "lr", 10 ** 400, id="teacher-lr-10**400"),
+    # a retired key loads only with the one value that is today's behaviour
+    pytest.param("teacher", "teacher.lr_decay", {"lr_decay": "none"}, id="teacher-lr_decay-none"),
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):
-    # section None is a top-level RunConfig key; a dict value edits several keys
+    # section None is a top-level RunConfig key; a dict value edits several
+    # keys, and its key is the part of the message the test looks for
     d = json.loads(RunConfig().to_json())
     target = d if section is None else d[section]
     target.update(value if isinstance(value, dict) else {key: value})

@@ -11,8 +11,9 @@ import pytest
 
 import tfdl
 from conftest import AnalyticGaussianFM, fresh_process_env
-from tfdl.distill import (DistillConfig, _generator_objective, _tangent_and_value, draw,
-                          hinge_disc, hinge_gen, init_distill, scm_objective, scm_target)
+from tfdl.distill import (DistillConfig, _generator_objective, _tangent_and_value,
+                          adaptive_weight, draw, hinge_disc, hinge_gen, init_distill,
+                          scm_objective, scm_target)
 from tfdl.errors import TrainingDivergence
 from tfdl.schedule import HALF_PI, TimestepDistribution, mix_max_time
 from tfdl.toydata import minibatch_arrays
@@ -103,7 +104,7 @@ def test_scm_loss_with_equal_params_and_zero_tangent(gauss_ds, tiny_state):
     x_t = np.cos(d.t)[:, None] * d.x0 + np.sin(d.t)[:, None] * d.z
     f = np.asarray(state.student.velocity(x_t, d.t, d.y, cfg=d.cfg))
     loss = scm_objective(state, d, (np.zeros_like(f), f))
-    w = np.asarray(state.wphi.forward(d.t))
+    w = np.asarray(adaptive_weight(state.wphi, d.t))
     assert float(loss) == pytest.approx(-float(np.mean(w)), abs=1e-12)
 
 

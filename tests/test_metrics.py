@@ -1,6 +1,7 @@
 """Distribution metrics, config round-trips, and checkpoint persistence."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from conftest import fresh_process_env
 from tfdl.errors import ConfigurationError, NumericsError
 from tfdl.metrics import (_MMD_TILE, _lift, _sliced_w2_dirs, _tile_sum, evaluate, mmd_rbf,
                           sliced_w2)
+from tfdl.net import N_TOKENS, NetSpec
 from tfdl.optim import ParamVector
 from tfdl.runio import RunConfig, load_net, save_net, save_params
 
@@ -275,6 +277,15 @@ def test_runconfig_drops_null_sigma_d_of_older_configs():
     assert RunConfig.from_json(json.dumps(d)) == RunConfig()
 
 
+def test_runconfig_written_before_lr_decay_was_retired_loads():
+    # RunConfig().to_json() of the code that still had teacher.lr_decay
+    path = os.path.join(os.path.dirname(__file__), "old_run_config.json")
+    with open(path) as fh:
+        text = fh.read()
+    assert '"lr_decay": "cosine"' in text
+    assert RunConfig.from_json(text) == RunConfig()
+
+
 def test_runconfig_rejects_unknown_top_level_key():
     d = json.loads(RunConfig().to_json())
     d["eval_seeed"] = 4
@@ -290,17 +301,29 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     loaded, meta = load_net(p1)
     assert meta["sigma_d"] == 0.5
     np.testing.assert_array_equal(loaded.params.flat, net.params.flat)
-    assert loaded.qk_norm == net.qk_norm
-    assert loaded.c_noise_scale == net.c_noise_scale
+    assert loaded.spec == net.spec
     save_net(p2, loaded, {"sigma_d": 0.5, "role": "student"})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_of_small_spec_roundtrips(tmp_path):
+    spec = NetSpec(width=16, depth=1, n_freq=8)
+    net = tfdl.VelocityNet(2, spec=spec, seed=3, zero_out=False)
+    path = tmp_path / "small.ckpt"
+    save_net(path, net, {"sigma_d": 0.5})
+    loaded, meta = load_net(path)
+    assert (loaded.n_classes, loaded.spec, meta) == (2, spec, {"sigma_d": 0.5})
+    np.testing.assert_array_equal(loaded.params.flat, net.params.flat)
+    x = np.random.default_rng(3).standard_normal((5, 2))
+    np.testing.assert_array_equal(loaded.forward(x, 0.4, 1, 4.5), net.forward(x, 0.4, 1, 4.5))
 
 
 def test_checkpoint_header_with_top_level_net_flags_loads(tmp_path):
     # older headers also carried c_noise_scale and qk_norm outside meta, and
     # n_tokens and attention inside it; the reader rebuilds the net from the
     # NetSpec keys of meta alone, and a re-save drops the old keys
-    net = tfdl.VelocityNet(3, seed=8, qk_norm=False, c_noise_scale=1000.0, zero_out=False)
+    net = tfdl.VelocityNet(3, spec=NetSpec(qk_norm=False, c_noise_scale=1000.0), seed=8,
+                           zero_out=False)
     path = tmp_path / "old.ckpt"
     save_net(path, net, {"sigma_d": 0.5})
     new_bytes = path.read_bytes()
@@ -308,12 +331,12 @@ def test_checkpoint_header_with_top_level_net_flags_loads(tmp_path):
     header = json.loads(head)
     assert "c_noise_scale" not in header and "qk_norm" not in header
     assert "n_tokens" not in header["meta"] and "attention" not in header["meta"]
-    header.update(c_noise_scale=net.c_noise_scale, qk_norm=net.qk_norm)
-    header["meta"].update(n_tokens=net.n_tokens, attention=True)
+    header.update(c_noise_scale=net.spec.c_noise_scale, qk_norm=net.spec.qk_norm)
+    header["meta"].update(n_tokens=N_TOKENS, attention=True)
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
     loaded, meta = load_net(path)
     np.testing.assert_array_equal(loaded.params.flat, net.params.flat)
-    assert (loaded.qk_norm, loaded.c_noise_scale) == (False, 1000.0)
+    assert (loaded.spec.qk_norm, loaded.spec.c_noise_scale) == (False, 1000.0)
     assert meta == {"sigma_d": 0.5}
     save_net(path, loaded, meta)
     assert path.read_bytes() == new_bytes

@@ -8,7 +8,7 @@ import pytest
 import tfdl
 from tfdl.autodiff import _RMS_EPS, Dual, Var, reshape, softmax, swap_last, vmean, vsum
 from tfdl.errors import NumericsError
-from tfdl.net import _ROW_BLOCK
+from tfdl.net import _ROW_BLOCK, N_TOKENS, NetSpec
 
 
 def _probe(rng, n=8, k=3):
@@ -127,10 +127,10 @@ def test_qk_norm_scale_invariance():
     rng = np.random.default_rng(8)
     x, t, y, cfg = _probe(rng)
     for qk_norm, invariant in ((True, True), (False, False)):
-        net = tfdl.VelocityNet(3, seed=10, qk_norm=qk_norm, zero_out=False)
+        net = tfdl.VelocityNet(3, spec=NetSpec(qk_norm=qk_norm), seed=10, zero_out=False)
         # the output projection of the attention block starts at zero; give it
         # weight so the block actually reaches the network output
-        net.params["attn_wo"] = rng.standard_normal((net.d_token, net.d_token))
+        net.params["attn_wo"] = rng.standard_normal(net.params.shapes["attn_wo"])
         base = net.forward(x, t, y, cfg)
         net.params["attn_wq"] = net.params["attn_wq"] * 3.0
         net.params["attn_wk"] = net.params["attn_wk"] * 3.0
@@ -156,7 +156,7 @@ def test_time_embed_sensitivity_matches_fd():
     t, h = 0.3, 1e-7
 
     def emb(tv):
-        arg = np.asarray([tv * net.c_noise_scale])[:, None] * net.params["time_freq"]
+        arg = np.asarray([tv * net.spec.c_noise_scale])[:, None] * net.params["time_freq"]
         return np.concatenate([np.sin(arg), np.cos(arg)], axis=1)
 
     fd = np.linalg.norm((emb(t + h) - emb(t - h)) / (2 * h))
@@ -230,18 +230,18 @@ def test_constant_conditioning_gradient_matches_per_row():
 
 
 def test_constant_time_embedding_is_bit_identical_to_per_row():
-    net = tfdl.VelocityNet(3, seed=23, c_noise_scale=1000.0)
+    net = tfdl.VelocityNet(3, spec=NetSpec(c_noise_scale=1000.0), seed=23)
     for t0 in (1e-3, 0.3, 1.0):
         t = np.full(64, t0)
-        one = net._embed(net.params, t, net.c_noise_scale)
-        rows = net._embed(net.params, np.append(t, t0 + 0.1), net.c_noise_scale)[:64]
-        assert one.shape == (1, net.width)
+        one = net._embed(net.params, t, net.spec.c_noise_scale)
+        rows = net._embed(net.params, np.append(t, t0 + 0.1), net.spec.c_noise_scale)[:64]
+        assert one.shape == (1, net.spec.width)
         np.testing.assert_array_equal(np.broadcast_to(one, rows.shape), rows)
 
 
 def test_per_row_embedding_paths_unchanged():
     net = tfdl.VelocityNet(3, seed=24)
-    P, w = net.params, net.width
+    P, w = net.params, net.spec.width
     t = np.full(5, 0.3)
     assert net._embed(P, t, 1.0).shape == (1, w)
     # a Dual time keeps one row per entry, even when its values are equal
@@ -277,7 +277,7 @@ def test_blocked_forward_is_concatenation_of_blocks(constant):
     np.testing.assert_array_equal(net.forward(*args), out)
     whole, whole_hidden = _one_pass(net, args, collect_hidden=True)
     assert _rel(out, whole) <= 1e-12
-    assert len(hidden) == len(whole_hidden) == net.depth
+    assert len(hidden) == len(whole_hidden) == net.spec.depth
     for layer, h in enumerate(hidden):
         np.testing.assert_array_equal(h, np.concatenate([p[1][layer] for p in parts]))
         assert _rel(h, whole_hidden[layer]) <= 1e-12
@@ -312,22 +312,23 @@ def test_traced_forward_above_one_block_is_one_pass(constant):
 
 def _composed_attn(net, P, h):
     """The attention block built from separate table entries: the oracle."""
-    tok = reshape(h, (-1, net.n_tokens, net.d_token))
+    d_token = net.spec.width // N_TOKENS
+    tok = reshape(h, (-1, N_TOKENS, d_token))
     q = tok @ P["attn_wq"]
     k = tok @ P["attn_wk"]
     v = tok @ P["attn_wv"]
-    if net.qk_norm:
+    if net.spec.qk_norm:
         q = q * (vmean(q * q, axis=-1, keepdims=True) + _RMS_EPS) ** -0.5
         k = k * (vmean(k * k, axis=-1, keepdims=True) + _RMS_EPS) ** -0.5
-    logits = (q @ swap_last(k)) * (1.0 / np.sqrt(net.d_token))
+    logits = (q @ swap_last(k)) * (1.0 / np.sqrt(d_token))
     o = softmax(logits, axis=-1) @ v
-    return reshape(o @ P["attn_wo"], (-1, net.width))
+    return reshape(o @ P["attn_wo"], (-1, net.spec.width))
 
 
 @pytest.mark.parametrize("qk_norm", [True, False])
 @pytest.mark.parametrize("n", [96, 2 * _ROW_BLOCK + 3])
 def test_fused_attention_matches_composed_block(n, qk_norm):
-    net = tfdl.VelocityNet(3, seed=40, qk_norm=qk_norm, zero_out=False)
+    net = tfdl.VelocityNet(3, spec=NetSpec(qk_norm=qk_norm), seed=40, zero_out=False)
     rng = np.random.default_rng(40)
     net.params["attn_wo"] = rng.standard_normal(net.params.shapes["attn_wo"])
     x, t, y, cfg = _probe(rng, n=n)

@@ -7,7 +7,7 @@ import tfdl
 from conftest import AnalyticGaussianFM
 from tfdl.errors import ConfigurationError
 from tfdl.metrics import sliced_w2
-from tfdl.net import _ROW_BLOCK
+from tfdl.net import _ROW_BLOCK, NetSpec
 from tfdl.sampler import StepSchedule, default_schedule, multistep_sample, search_timesteps
 from tfdl.schedule import HALF_PI
 from tfdl.trigflow import TrigFlowAdapter
@@ -153,7 +153,7 @@ def _analytic_case(n):
 
 
 def _velocity_net_case(n):
-    net = tfdl.VelocityNet(2, width=16, depth=1, n_freq=8, seed=4)
+    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=1, n_freq=8), seed=4)
     labels = np.random.default_rng(2).integers(0, 2, n)
     return TrigFlowAdapter(net, 0.8), labels, _quadratic_metric(np.array([0.1, -0.2]))
 
@@ -201,7 +201,7 @@ CLI_GRID = [0.05, 0.1, 0.15] + [round(t, 2) for t in np.arange(0.2, 1.55, 0.1)]
 def test_search_weak_student_reaches_all_steps():
     # an untrained net favours the smallest time in every round; the walk must
     # still leave room below each pick instead of running out of candidates
-    net = tfdl.VelocityNet(2, width=16, depth=1, n_freq=8, seed=4)
+    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=1, n_freq=8), seed=4)
     adapter = TrigFlowAdapter(net, 0.8)
     ds = tfdl.generate("gauss-mix", 2000, seed=0, components=2)
     rng = np.random.default_rng(0)
