@@ -13,7 +13,8 @@ A phase is draws, then a target, then pure objectives. ``draw`` makes every
 random draw of a phase into one ``StepDraws``; ``scm_target`` evaluates the
 stop-gradient target (g, f_sg) once; ``disc_objective``, ``scm_objective`` and
 ``adv_objective`` are deterministic in (state, draws[, target]), on the tape
-when given Var leaves. The step and the public losses share these objectives.
+when given Var leaves. The step and the public losses share these objectives
+and read every setting (times, guidance scales, tangent_c) from one DistillConfig.
 
 Stop-gradient and frozen-module semantics are structural: those branches are
 evaluated on plain arrays and never enter the reverse-mode tape.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .autodiff import (Dual, dense_silu, exp as vexp, primal, relu, reshape, sincos, vmean,
                        vsum)
-from .errors import NumericsError, TrainingDivergence, check_fields
+from .errors import ConfigurationError, NumericsError, TrainingDivergence, check_fields
 from .optim import Adam, ParamVector
 from .schedule import TimestepDistribution, mix_max_time, sample_t, trig_perturb
 from .toydata import batch_arrays, minibatch_arrays
@@ -55,7 +56,8 @@ class DistillConfig:
     def __post_init__(self):
         check_fields(self)
         if not self.use_scm and self.lambda_adv == 0:
-            raise ValueError("at least one of the consistency and adversarial terms must be on")
+            raise ConfigurationError("DistillConfig.use_scm must be true when lambda_adv is 0: "
+                                     "at least one of the two loss terms must be on")
 
 
 class ScalarHeads:
@@ -107,8 +109,6 @@ class DistillState:
     teacher: TrigFlowAdapter
     heads: ScalarHeads
     wphi: ScalarHeads
-    gen_tdist: TimestepDistribution
-    disc_tdist: TimestepDistribution
     opt_student: Adam
     opt_wphi: Adam
     opt_heads: Adam
@@ -129,7 +129,6 @@ def init_distill(teacher_net, ds, config, seed=0):
     wphi = ScalarHeads([2 * len(_WPHI_FREQS)], config.wphi_width, seed=seed + 2)
     return DistillState(
         student=student, teacher=teacher, heads=heads, wphi=wphi,
-        gen_tdist=config.gen_tdist, disc_tdist=config.disc_tdist,
         opt_student=Adam(student_net.params.size, config.lr),
         opt_wphi=Adam(wphi.params.size, config.lr),
         opt_heads=Adam(heads.params.size, config.lr),
@@ -152,17 +151,18 @@ class StepDraws:
     s: np.ndarray | None = None
 
 
-def draw(state, batch, rng, cfg_scales, adversarial=True):
-    """Draw z, the base t and cfg, then (adversarial) t_gan and s for a batch."""
+def draw(state, config, batch, rng, adversarial=True):
+    """Draw z, the base t and cfg, then (adversarial) t_gan and s for a batch,
+    from the times and guidance scales of ``config``."""
     x0, y = batch_arrays(batch)
     b, sd = len(x0), state.student.sigma_d
     z = sd * rng.standard_normal((b, DATA_DIM))
-    t = sample_t(replace(state.gen_tdist, max_time_prob=0.0), sd, rng, b)
-    cfg = float(rng.choice(cfg_scales))
+    t = sample_t(replace(config.gen_tdist, max_time_prob=0.0), sd, rng, b)
+    cfg = float(rng.choice(config.cfg_scales))
     if not adversarial:
         return StepDraws(x0, y, z, t, cfg)
-    t_gan = mix_max_time(t, state.gen_tdist.max_time_prob, rng)
-    return StepDraws(x0, y, z, t, cfg, t_gan, sample_t(state.disc_tdist, sd, rng, b))
+    t_gan = mix_max_time(t, config.gen_tdist.max_time_prob, rng)
+    return StepDraws(x0, y, z, t, cfg, t_gan, sample_t(config.disc_tdist, sd, rng, b))
 
 
 # -- consistency branch ------------------------------------------------------
@@ -180,9 +180,10 @@ def _tangent_and_value(state, x_t, t, y, cfg, r, tangent_c):
     return g / (np.linalg.norm(g, axis=1, keepdims=True) + tangent_c), f_sg
 
 
-def scm_target(state, d, r, tangent_c):
+def scm_target(state, config, d, r):
     """Stop-gradient target (g, f_sg) of the consistency loss at draws ``d``."""
-    return _tangent_and_value(state, trig_perturb(d.x0, d.z, d.t), d.t, d.y, d.cfg, r, tangent_c)
+    return _tangent_and_value(state, trig_perturb(d.x0, d.z, d.t), d.t, d.y, d.cfg, r,
+                              config.tangent_c)
 
 
 def scm_objective(state, d, target, student_leaves=None, wphi_leaves=None):
@@ -239,20 +240,20 @@ def adv_objective(state, d, student_leaves=None):
                                                                d.s, d.y)))
 
 
-def scm_loss(state, batch, rng, r=1.0, tangent_c=0.1, cfg_scales=(4.0, 4.5, 5.0)):
+def scm_loss(state, config, batch, rng, r=1.0):
     """Value of the consistency loss on a fresh draw (no adversarial term)."""
-    d = draw(state, batch, rng, cfg_scales, adversarial=False)
-    return float(scm_objective(state, d, scm_target(state, d, r, tangent_c)))
+    d = draw(state, config, batch, rng, adversarial=False)
+    return float(scm_objective(state, d, scm_target(state, config, d, r)))
 
 
-def disc_loss(state, batch, rng, cfg_scales=(4.0, 4.5, 5.0)):
+def disc_loss(state, config, batch, rng):
     """Hinge discriminator loss on a fresh draw."""
-    return float(disc_objective(state, draw(state, batch, rng, cfg_scales)))
+    return float(disc_objective(state, draw(state, config, batch, rng)))
 
 
-def gen_adv_loss(state, batch, rng, cfg_scales=(4.0, 4.5, 5.0)):
+def gen_adv_loss(state, config, batch, rng):
     """Generator hinge term on a fresh draw."""
-    return float(adv_objective(state, draw(state, batch, rng, cfg_scales)))
+    return float(adv_objective(state, draw(state, config, batch, rng)))
 
 
 # -- alternating step --------------------------------------------------------
@@ -281,7 +282,7 @@ def distill_step(state, config, ds, rng):
     metrics = {"iter": state.step, "adv_d": 0.0}
     try:
         if adversarial:
-            d = draw(state, minibatch_arrays(ds, config.batch, rng), rng, config.cfg_scales)
+            d = draw(state, config, minibatch_arrays(ds, config.batch, rng), rng)
             head_leaves = state.heads.params.as_vars()
             d_obj = disc_objective(state, d, head_leaves)
             d_obj.backward()
@@ -289,9 +290,8 @@ def distill_step(state, config, ds, rng):
                                  state.heads.params.gradient_from(head_leaves))
             metrics["adv_d"] = float(d_obj.v)
 
-        d = draw(state, minibatch_arrays(ds, config.batch, rng), rng, config.cfg_scales,
-                 adversarial)
-        target = scm_target(state, d, r, config.tangent_c) if config.use_scm else None
+        d = draw(state, config, minibatch_arrays(ds, config.batch, rng), rng, adversarial)
+        target = scm_target(state, config, d, r) if config.use_scm else None
         student_leaves = state.student.inner.params.as_vars()
         wphi_leaves = state.wphi.params.as_vars()
         total, scm_val, adv_val = _generator_objective(state, config, d, target,

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Dual, attention, dense_silu, primal, reshape, sincos, take_rows
-from .errors import NumericsError, check_fields
+from .errors import ConfigurationError, NumericsError, check_fields
 from .optim import ParamVector
 
 _ROW_BLOCK = 512  # rows per block of a plain forward; keeps temporaries in L2
@@ -57,10 +57,11 @@ class NetSpec:
     def __post_init__(self):
         check_fields(self)
         if self.width != 2 * self.n_freq:
-            raise ValueError(f"width must equal 2*n_freq so the time embedding adds "
-                             f"directly (width {self.width}, n_freq {self.n_freq})")
+            raise ConfigurationError(f"NetSpec.width must equal 2*n_freq so the time embedding "
+                                     f"adds directly (width {self.width}, n_freq {self.n_freq})")
         if self.width % N_TOKENS:
-            raise ValueError(f"width {self.width} must be divisible by n_tokens ({N_TOKENS})")
+            raise ConfigurationError(f"NetSpec.width must be divisible by n_tokens ({N_TOKENS}), "
+                                     f"not {self.width}")
 
 
 def net_segments(n_classes, spec):

@@ -58,14 +58,14 @@ class ParamVector:
         return g
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator floor
+
+
 class Adam:
     """Adam on a flat parameter vector; raises on non-finite updates."""
 
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -73,12 +73,12 @@ class Adam:
     def step(self, flat, grad):
         """Update ``flat`` in place with one Adam step on ``grad``."""
         self.t += 1
-        np.multiply(self.m, self.beta1, out=self.m)
-        self.m += (1.0 - self.beta1) * grad
-        np.multiply(self.v, self.beta2, out=self.v)
-        self.v += (1.0 - self.beta2) * grad * grad
-        denom = np.sqrt(self.v / (1.0 - self.beta2 ** self.t))
-        denom += self.eps
-        flat -= (self.lr / (1.0 - self.beta1 ** self.t)) * self.m / denom
+        np.multiply(self.m, BETA1, out=self.m)
+        self.m += (1.0 - BETA1) * grad
+        np.multiply(self.v, BETA2, out=self.v)
+        self.v += (1.0 - BETA2) * grad * grad
+        denom = np.sqrt(self.v / (1.0 - BETA2 ** self.t))
+        denom += EPS
+        flat -= (self.lr / (1.0 - BETA1 ** self.t)) * self.m / denom
         if not np.all(np.isfinite(flat)):
             raise NumericsError("non-finite parameters or gradient")

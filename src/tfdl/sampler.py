@@ -72,8 +72,7 @@ def multistep_sample(student, sched, n, y, cfg, rng):
     return x
 
 
-def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg,
-                     eval_seed=0, tmax_grid=TMAX_N_GRID):
+def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg, eval_seed=0):
     """Greedy sequential schedule search minimizing ``metric_fn`` on samples.
 
     Every candidate is scored with the same random numbers (``eval_seed``), so
@@ -97,7 +96,7 @@ def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg,
         # still take a lower positive grid point
         return [c for c in cands if sum(0.0 < g < c for g in grid) >= steps - 1 - k]
 
-    tmax_cands = feasible([float(np.arctan(nn / sd)) for nn in tmax_grid], 0)
+    tmax_cands = feasible([float(np.arctan(nn / sd)) for nn in TMAX_N_GRID], 0)
     if not tmax_cands:
         raise ConfigurationError(f"a {steps}-step search needs {steps - 1} positive grid "
                                  "points below the largest maximum time")

@@ -47,23 +47,22 @@ def _draw_fm_noise(n, n_classes, y, rng, uncond_drop_prob):
     return t, z, y
 
 
-def fm_loss(net, batch, rng, uncond_drop_prob=0.1):
-    """Flow-matching regression loss on one batch (fresh t, z draws)."""
+def fm_loss(net, cfg, batch, rng):
+    """Flow-matching loss on one batch: fresh t, z and class drops at ``cfg``'s rate."""
     x0, y = batch_arrays(batch)
-    t, z, y = _draw_fm_noise(len(x0), net.n_classes, y, rng, uncond_drop_prob)
+    t, z, y = _draw_fm_noise(len(x0), net.n_classes, y, rng, cfg.uncond_drop_prob)
     return float(np.asarray(_fm_objective(net, None, x0, y, t, z)))
 
 
 def train_teacher(net, ds, cfg, rng):
-    """Adam-train the net on standardized data with a cosine learning-rate
-    decay from ``cfg.lr``; returns (net, loss curve)."""
-    pts = ds.points / ds.sigma_d
-    std_ds = type(ds)(ds.name, pts, ds.labels, 1.0, ds.n_classes)
+    """Adam-train the net on minibatches divided by ``ds.sigma_d`` (standardized
+    data), with a cosine learning-rate decay from ``cfg.lr``; returns (net, loss curve)."""
     opt = Adam(net.params.size, cfg.lr)
     curve = []
     for it in range(cfg.iters):
         opt.lr = cfg.lr * 0.5 * (1.0 + np.cos(np.pi * it / cfg.iters))
-        x0, y = minibatch_arrays(std_ds, cfg.batch, rng)
+        x0, y = minibatch_arrays(ds, cfg.batch, rng)
+        x0 = x0 / ds.sigma_d
         t, z, y = _draw_fm_noise(cfg.batch, net.n_classes, y, rng, cfg.uncond_drop_prob)
         try:
             val, grad = net.value_and_grad(
@@ -77,13 +76,13 @@ def train_teacher(net, ds, cfg, rng):
 
 
 def cfg_velocity(net, x, t, y, scale, params=None):
-    """Guided velocity v_u + scale * (v_c - v_u); exact at scales 0 and 1."""
+    """Guided velocity v_u + scale * (v_c - v_u) at a scalar scale; exact at 0 and 1."""
     y = np.asarray(y)
     if np.any(y >= net.n_classes):
         raise ValueError("cfg_velocity needs a real class condition, not the null class")
-    if np.ndim(scale) == 0 and scale == 1.0:
+    if scale == 1.0:
         return net.forward(x, t, y, cfg=0.0, params=params)
-    if np.ndim(scale) == 0 and scale == 0.0:
+    if scale == 0.0:
         return net.forward(x, t, np.full_like(y, net.n_classes), cfg=0.0, params=params)
     if isinstance(x, np.ndarray) and params is None and np.ndim(y) == 1:
         # plain mode: run both guidance branches as one doubled batch
@@ -97,8 +96,7 @@ def cfg_velocity(net, x, t, y, scale, params=None):
         null_y = np.full_like(y, net.n_classes)
         v_u = net.forward(x, t, null_y, cfg=0.0, params=params)
         v_c = net.forward(x, t, y, cfg=0.0, params=params)
-    s = scale if np.ndim(scale) == 0 else np.asarray(scale)[:, None]
-    return v_u + (v_c - v_u) * s
+    return v_u + (v_c - v_u) * scale
 
 
 def euler_integrate(velocity, n, y, t_start, steps, sigma_d, rng):

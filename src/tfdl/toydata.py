@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigurationError, StateError
 
 DATASET_NAMES = ("gauss-mix", "two-moons", "checkerboard")
+MOON_NOISE = 0.08   # standard deviation of the Gaussian jitter on the two moons
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ def _gauss_mix(rng, n, components, comp_std, radius):
     return pts, labels, components
 
 
-def _two_moons(rng, n, noise):
+def _two_moons(rng, n):
     labels = rng.integers(0, 2, n)
     theta = rng.uniform(0.0, np.pi, n)
     pts = np.empty((n, 2))
@@ -52,7 +53,7 @@ def _two_moons(rng, n, noise):
     pts[top, 1] = np.sin(theta[top])
     pts[~top, 0] = 1.0 - np.cos(theta[~top])
     pts[~top, 1] = 0.5 - np.sin(theta[~top])
-    pts += noise * rng.standard_normal((n, 2))
+    pts += MOON_NOISE * rng.standard_normal((n, 2))
     pts -= np.array([0.5, 0.25])  # center the pair of arcs at the origin
     return pts, labels, 2
 
@@ -65,8 +66,7 @@ def _checkerboard(rng, n, extent=2.0, tiles=4):
     return pts, labels, 2
 
 
-def generate(name, n, seed, components=3, comp_std=0.3, radius=2.0,
-             moon_noise=0.08):
+def generate(name, n, seed, components=3, comp_std=0.3, radius=2.0):
     """Draw a named dataset deterministically from ``seed``."""
     if n < 2:
         raise ValueError("need at least 2 points to estimate sigma_d")
@@ -74,7 +74,7 @@ def generate(name, n, seed, components=3, comp_std=0.3, radius=2.0,
     if name == "gauss-mix":
         pts, labels, k = _gauss_mix(rng, n, components, comp_std, radius)
     elif name == "two-moons":
-        pts, labels, k = _two_moons(rng, n, moon_noise)
+        pts, labels, k = _two_moons(rng, n)
     elif name == "checkerboard":
         pts, labels, k = _checkerboard(rng, n)
     else:

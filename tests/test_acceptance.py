@@ -189,8 +189,8 @@ def test_criterion_08_stop_gradient_and_frozen_contracts(gauss_ds, teacher):
 
     # batch, then z, t, cfg, the max-time mix t_gan (p = 0.5) and s
     rng = np.random.default_rng(9)
-    d = draw(state, minibatch_arrays(gauss_ds, 12, rng), rng, config.cfg_scales)
-    target = scm_target(state, d, 0.9, config.tangent_c)
+    d = draw(state, config, minibatch_arrays(gauss_ds, 12, rng), rng)
+    target = scm_target(state, config, d, 0.9)
 
     sp, wp = state.student.inner.params, state.wphi.params
 

@@ -168,6 +168,10 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     pytest.param("teacher", "lr", 10 ** 400, id="teacher-lr-10**400"),
     # a retired key loads only with the one value that is today's behaviour
     pytest.param("teacher", "teacher.lr_decay", {"lr_decay": "none"}, id="teacher-lr_decay-none"),
+    # a cross-field rule names its section too
+    pytest.param("net", "net.width", {"width": 100}, id="net-width-100-path"),
+    pytest.param("distill", "distill.use_scm", {"use_scm": False, "lambda_adv": 0.0},
+                 id="distill-use_scm-false-lambda_adv-0"),
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):
     # section None is a top-level RunConfig key; a dict value edits several

@@ -79,28 +79,29 @@ def test_hinge_saturation_and_zero_head_values():
 def test_disc_loss_zero_heads_and_nonnegative(gauss_ds, tiny_state):
     state, cfg = tiny_state
     batch = minibatch_arrays(gauss_ds, 32, np.random.default_rng(4))
-    loss = tfdl.disc_loss(state, batch, np.random.default_rng(5))
+    loss = tfdl.disc_loss(state, cfg, batch, np.random.default_rng(5))
     assert loss >= 0.0
     state.heads.params.flat[:] = 0.0
-    loss0 = tfdl.disc_loss(state, batch, np.random.default_rng(6))
+    loss0 = tfdl.disc_loss(state, cfg, batch, np.random.default_rng(6))
     assert loss0 == pytest.approx(2.0 * state.heads.n_heads, abs=1e-12)
 
 
 def test_gen_adv_constant_heads(gauss_ds, tiny_state):
-    state, _ = tiny_state
+    state, cfg = tiny_state
     state.heads.params.flat[:] = 0.0
     for k in range(state.heads.n_heads):
         state.heads.params[f"h{k}_b2"] = 3.0
     batch = minibatch_arrays(gauss_ds, 16, np.random.default_rng(7))
-    loss = tfdl.gen_adv_loss(state, batch, np.random.default_rng(8))
+    loss = tfdl.gen_adv_loss(state, cfg, batch, np.random.default_rng(8))
     assert loss == pytest.approx(-3.0 * state.heads.n_heads, abs=1e-12)
 
 
 def test_scm_loss_with_equal_params_and_zero_tangent(gauss_ds, tiny_state):
     # squared term vanishes, leaving -mean w(t)
-    state, _ = tiny_state
+    state, cfg = tiny_state
     rng = np.random.default_rng(9)
-    d = draw(state, minibatch_arrays(gauss_ds, 32, rng), rng, (4.5,), adversarial=False)
+    d = draw(state, replace(cfg, cfg_scales=(4.5,)), minibatch_arrays(gauss_ds, 32, rng), rng,
+             adversarial=False)
     x_t = np.cos(d.t)[:, None] * d.x0 + np.sin(d.t)[:, None] * d.z
     f = np.asarray(state.student.velocity(x_t, d.t, d.y, cfg=d.cfg))
     loss = scm_objective(state, d, (np.zeros_like(f), f))
@@ -122,10 +123,9 @@ def test_stop_gradient_paths_excluded(gauss_ds, tiny_state):
     """Analytic generator gradient equals FD with the stop-grad branch frozen."""
     state, config = tiny_state
     rng = np.random.default_rng(10)
-    d = draw(state, minibatch_arrays(gauss_ds, 12, rng), rng, config.cfg_scales,
-             adversarial=False)
+    d = draw(state, config, minibatch_arrays(gauss_ds, 12, rng), rng, adversarial=False)
     d = replace(d, t_gan=d.t.copy(), s=np.full(len(d.t), 0.8))
-    target = scm_target(state, d, 0.8, config.tangent_c)
+    target = scm_target(state, config, d, 0.8)
 
     sp = state.student.inner.params
     wp = state.wphi.params
@@ -188,27 +188,37 @@ def test_warmup_ratio_in_step(gauss_ds, teacher):
     assert row["r"] == 1.0
 
 
-def test_lambda_zero_total_equals_scm_loss(gauss_ds, teacher):
+# the public losses read every setting from the config they are given, so a
+# non-default guidance scale, tangent_c and time distribution reach them too
+LOSS_CONFIGS = [
+    pytest.param({}, id="default"),
+    pytest.param({"cfg_scales": (3.0,), "tangent_c": 0.05,
+                  "gen_tdist": TimestepDistribution(0.3, 1.2, 0.25)}, id="non-default"),
+]
+
+
+@pytest.mark.parametrize("settings", LOSS_CONFIGS)
+def test_lambda_zero_total_equals_scm_loss(gauss_ds, teacher, settings):
     net, _ = teacher
-    config = DistillConfig(iters=1, batch=16, lambda_adv=0.0)
+    config = DistillConfig(iters=1, batch=16, lambda_adv=0.0, **settings)
     state = init_distill(net, gauss_ds, config, seed=1)
     probe = np.random.default_rng(15)
     # from the same generator state, the public loss makes the step's draws
-    expected = tfdl.scm_loss(state, minibatch_arrays(gauss_ds, config.batch, probe), probe,
-                             r=0.5 / config.warmup_steps, tangent_c=config.tangent_c,
-                             cfg_scales=config.cfg_scales)
+    expected = tfdl.scm_loss(state, config, minibatch_arrays(gauss_ds, config.batch, probe),
+                             probe, r=0.5 / config.warmup_steps)
     row = tfdl.distill_step(state, config, gauss_ds, np.random.default_rng(15))
     assert row["adv_g"] == 0.0 and row["adv_d"] == 0.0
     assert row["scm_loss"] == expected
 
 
-def test_hybrid_adv_d_equals_disc_loss(gauss_ds, teacher):
+@pytest.mark.parametrize("settings", LOSS_CONFIGS)
+def test_hybrid_adv_d_equals_disc_loss(gauss_ds, teacher, settings):
     net, _ = teacher
-    config = DistillConfig(iters=1, batch=16)
+    config = DistillConfig(iters=1, batch=16, **settings)
     state = init_distill(net, gauss_ds, config, seed=1)
     probe = np.random.default_rng(17)
-    expected = tfdl.disc_loss(state, minibatch_arrays(gauss_ds, config.batch, probe), probe,
-                              cfg_scales=config.cfg_scales)
+    expected = tfdl.disc_loss(state, config, minibatch_arrays(gauss_ds, config.batch, probe),
+                              probe)
     row = tfdl.distill_step(state, config, gauss_ds, np.random.default_rng(17))
     assert isinstance(expected, float)
     assert row["adv_d"] == expected

@@ -35,7 +35,8 @@ def test_fm_loss_zero_for_perfect_net():
     z = seed_rng.standard_normal((64, 2))
     net = PerfectNet(x0, z)
     # replay the same draw inside fm_loss
-    loss = fm_loss(net, (x0, y), np.random.default_rng(1), uncond_drop_prob=0.0)
+    loss = fm_loss(net, tfdl.TeacherConfig(uncond_drop_prob=0.0), (x0, y),
+                   np.random.default_rng(1))
     assert loss == 0.0
 
 
@@ -45,14 +46,14 @@ def test_fm_loss_zero_net_matches_gaussian_moment():
     x0 = rng.standard_normal((8192, 2))
     y = np.zeros(8192, dtype=int)
     net = tfdl.VelocityNet(1, seed=0)  # zero output head
-    loss = fm_loss(net, (x0, y), np.random.default_rng(3))
+    loss = fm_loss(net, tfdl.TeacherConfig(), (x0, y), np.random.default_rng(3))
     assert abs(loss - 4.0) < 0.4
 
 
 def test_fm_loss_non_negative(gauss_ds):
     net = tfdl.VelocityNet(gauss_ds.n_classes, seed=1, zero_out=False)
     batch = tfdl.minibatch_arrays(gauss_ds, 32, np.random.default_rng(4))
-    assert fm_loss(net, batch, np.random.default_rng(5)) >= 0.0
+    assert fm_loss(net, tfdl.TeacherConfig(), batch, np.random.default_rng(5)) >= 0.0
 
 
 def test_train_teacher_reduces_loss(small_ds):
@@ -73,8 +74,9 @@ def test_train_teacher_reduces_loss(small_ds):
     # paired evaluation: identical (x0, t, z) draws for both nets
     x0 = small_ds.points[:16384] / small_ds.sigma_d
     y = small_ds.labels[:16384]
-    loss_init = fm_loss(init, (x0, y), np.random.default_rng(77), uncond_drop_prob=0.0)
-    loss_final = fm_loss(net, (x0, y), np.random.default_rng(77), uncond_drop_prob=0.0)
+    no_drop = tfdl.TeacherConfig(uncond_drop_prob=0.0)
+    loss_init = fm_loss(init, no_drop, (x0, y), np.random.default_rng(77))
+    loss_final = fm_loss(net, no_drop, (x0, y), np.random.default_rng(77))
     assert loss_final - floor < 0.1 * (loss_init - floor)
 
 
