@@ -15,7 +15,7 @@ import numpy as np
 import tfdl
 from tfdl.metrics import sliced_w2
 from tfdl.runio import write_csv
-from tfdl.sampler import default_schedule, multistep_sample, search_timesteps
+from tfdl.sampler import SEARCH_GRID, default_schedule, multistep_sample, search_timesteps
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
@@ -37,9 +37,8 @@ def metric(samples):
     return sliced_w2(samples, ref, seed=5)
 
 
-grid = [0.05, 0.1, 0.15] + [round(v, 2) for v in np.arange(0.2, 1.55, 0.1)]
 for steps in (1, 2, 4):
-    searched, table = search_timesteps(state.student, metric, steps, grid, 2048,
+    searched, table = search_timesteps(state.student, metric, steps, SEARCH_GRID, 2048,
                                        y, CFG_SCALE, eval_seed=17)
     default = default_schedule(steps, ds.sigma_d)
     crn = np.random.default_rng(17)

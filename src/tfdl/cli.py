@@ -22,7 +22,7 @@ from .distill import run_distill
 from .errors import ConfigurationError
 from .metrics import evaluate, sliced_w2
 from .net import VelocityNet
-from .sampler import default_schedule, multistep_sample, search_timesteps
+from .sampler import SEARCH_GRID, default_schedule, multistep_sample, search_timesteps
 from .teacher import train_teacher
 from .toydata import generate
 from .trigflow import TrigFlowAdapter
@@ -127,8 +127,7 @@ def cmd_search_steps(cfg, args):
     def metric(samples):
         return sliced_w2(samples, ref, seed=cfg.eval_seed)
 
-    grid = [0.05, 0.1, 0.15] + [round(t, 2) for t in np.arange(0.2, 1.55, 0.1)]
-    sched, table = search_timesteps(student, metric, args.steps, grid,
+    sched, table = search_timesteps(student, metric, args.steps, SEARCH_GRID,
                                     cfg.eval_samples, y, cfg.eval_cfg_scale,
                                     eval_seed=cfg.eval_seed)
     runio.write_csv(_out(args, "search_table.csv"),

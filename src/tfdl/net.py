@@ -15,6 +15,20 @@ When ``t`` or ``cfg`` holds one value for the whole batch (every sampling
 step, every distillation batch's guidance scale), its embedding is computed
 once per call as a single row that broadcasts over the batch.
 
+When both are single rows, ``x`` and every parameter are plain arrays, and
+hidden layer 0 comes before the attention block (``depth >= 2``), layer 0's
+input ``x @ in_w + in_b + cond`` has only ``n_classes + 3`` distinct terms, so
+the input layer and the conditioning fold into layer 0: it is computed as one
+``dense_silu([x | onehot(y)], W_fold, h0_b)``, where ``W_fold`` stacks
+``in_w @ h0_w`` on ``(cls_table + in_b + emb_t + emb_c) @ h0_w`` (one row per
+class, the null class included). Per row this removes one of the net's
+``depth`` width x width GEMMs and the (rows x width) passes that build
+``cond`` and the layer's input, at a cost of ``(n_classes + 3) * width**2``
+multiply-adds per call. Every sampling step, search candidate and Euler step
+takes this path; per-row ``t`` or ``cfg``, ``Dual`` and ``Var`` inputs and
+depth 1 do not, so no training forward changes. The folded and the generic
+forward of the same inputs differ only by rounding.
+
 A plain-ndarray forward of more than ``_ROW_BLOCK`` (512) rows runs in
 consecutive blocks of at most that many rows. At a few thousand rows each
 ``(B, width)`` float64 temporary outgrows a core's L2 cache, and the ~30
@@ -139,13 +153,37 @@ class VelocityNet:
             v = v[:1]
         return sincos(reshape(v * scale, (-1, 1)) * P["time_freq"])
 
+    def _foldable(self, P, x, emb_t, emb_c):
+        """Whether hidden layer 0 takes the folded form: a plain forward whose
+        ``t`` and ``cfg`` each embed to one row, with layer 0 before attention."""
+        return (self.spec.depth // 2 >= 1
+                and not any(_traced(v) for v in (x, emb_t, emb_c))
+                and emb_t.shape[0] == emb_c.shape[0] == 1
+                and not any(_traced(P[name]) for name in P))
+
+    @staticmethod
+    def _folded_layer0(P, x, y, emb_t, emb_c):
+        """Hidden layer 0 as ``dense_silu([x | onehot(y)], W_fold, h0_b)``; the
+        rows of ``W_fold`` are ``in_w @ h0_w`` and, per class, the layer's input
+        at x = 0 times ``h0_w``."""
+        rows = np.concatenate([P["in_w"], P["cls_table"] + P["in_b"] + emb_t + emb_c])
+        w_fold = rows @ P["h0_w"]
+        xy = np.zeros((len(y), w_fold.shape[0]))
+        xy[:, :2] = x
+        xy[np.arange(len(y)), 2 + y] = 1.0
+        return dense_silu([xy, w_fold, P["h0_b"]])
+
     def _core(self, P, x, t, y, cfg, collect_hidden=False):
         emb_t = self._embed(P, t, self.spec.c_noise_scale)
         emb_c = self._embed(P, cfg, 0.1) @ P["cfg_proj"]
-        cond = emb_t + take_rows(P["cls_table"], y) + emb_c
-        h = x @ P["in_w"] + P["in_b"] + cond
-        hidden = []
-        for i in range(self.spec.depth):
+        if self._foldable(P, x, emb_t, emb_c):
+            h = self._folded_layer0(P, x, y, emb_t, emb_c)
+            hidden, first = [h], 1
+        else:
+            cond = emb_t + take_rows(P["cls_table"], y) + emb_c
+            h = x @ P["in_w"] + P["in_b"] + cond
+            hidden, first = [], 0
+        for i in range(first, self.spec.depth):
             if i == self.spec.depth // 2:
                 h = h + self._attn(P, h)
             h = dense_silu([h, P[f"h{i}_w"], P[f"h{i}_b"]])

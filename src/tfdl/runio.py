@@ -1,23 +1,24 @@
 """Run configuration, checkpoint format, CSV writers, and SVG scatter plots.
 
-Checkpoints are a single JSON header line (schema version, segment names and
-shapes, plus rebuild metadata, which holds the net's hyperparameters) followed
-by the raw little-endian float64 parameter values in segment order. Loading
-rejects a checkpoint whose header, size, layout or values do not check out
-with ``ConfigurationError`` naming the file.
+Checkpoints are a single strict-JSON header line (schema version, segment
+names and shapes, plus rebuild metadata, which holds the net's
+hyperparameters) followed by the raw little-endian float64 parameter values in
+segment order. Loading rejects a checkpoint whose header, size, layout or
+values do not check out with ``ConfigurationError`` naming the file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .distill import DistillConfig
-from .errors import ConfigurationError, check_fields, field_types
+from .errors import ConfigurationError, NumericsError, check_fields, field_types
 from .net import NetSpec, VelocityNet, net_segments
 from .schedule import TimestepDistribution
 from .teacher import TeacherConfig
@@ -102,18 +103,25 @@ def _build(cls, d, path=""):
 def save_params(path, params, meta=None):
     """Write the checkpoint header line and the float64 segment bytes.
 
-    The bytes go to a temporary file first and replace ``path`` in one step,
-    so an interrupted write never leaves a truncated checkpoint behind; a
-    failed write removes the temporary file and re-raises.
+    The header is strict JSON: a non-finite metadata value raises
+    ``NumericsError`` naming its key before anything is written. The bytes go
+    to a temporary file first and replace ``path`` in one step, so an
+    interrupted write never leaves a truncated checkpoint behind; a failed
+    write removes the temporary file and re-raises.
     """
+    meta = meta or {}
+    bad = sorted(k for k, v in meta.items() if isinstance(v, float) and not math.isfinite(v))
+    if bad:
+        raise NumericsError(f"non-finite checkpoint metadata: {', '.join(bad)}")
     header = {"schema": CKPT_SCHEMA,
               "segments": list(params.names),
               "shapes": {n: list(params.shapes[n]) for n in params.names},
-              "meta": meta or {}}
+              "meta": meta}
+    line = json.dumps(header, sort_keys=True, allow_nan=False).encode() + b"\n"
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            fh.write(line)
             fh.write(params.flat.astype("<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -126,16 +134,21 @@ def _malformed(path, problem):
     return ConfigurationError(f"malformed checkpoint {path}: {problem}")
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_checkpoint(path):
-    """Return (header dict, flat float64 values) after checking the header's
-    schema, that the payload holds exactly the values its segment shapes
-    describe, and that every value is finite."""
+    """Return (header dict, flat float64 values) after checking that the
+    header is strict JSON (no ``NaN`` or ``Infinity``), its schema, that the
+    payload holds exactly the values its segment shapes describe, and that
+    every value is finite."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
         line, payload = fh.readline(), fh.read()
     try:
-        header = json.loads(line.decode())
+        header = json.loads(line.decode(), parse_constant=_reject_constant)
         schema = header.get("schema")
         sizes = [int(np.prod(header["shapes"][n])) for n in header["segments"]]
     except (ValueError, AttributeError, KeyError, TypeError) as exc:

@@ -20,6 +20,9 @@ from .net import broadcast_rows
 from .schedule import HALF_PI, trig_perturb
 
 TMAX_N_GRID = (50.0, 100.0, 200.0, 400.0)
+# candidate times of the later search rounds: 0.05, 0.1, 0.15, then 0.2 to 1.5 by 0.1
+SEARCH_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3,
+               1.4, 1.5)
 
 
 @dataclass(frozen=True)

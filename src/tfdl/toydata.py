@@ -26,8 +26,9 @@ class Dataset:
     n_classes: int = field(default=1)
 
     def __post_init__(self):
-        if self.sigma_d <= 0:
-            raise ValueError("sigma_d must be positive")
+        if not (np.isfinite(self.sigma_d) and self.sigma_d > 0):
+            raise ConfigurationError(f"dataset sigma_d must be finite and positive, "
+                                     f"not {self.sigma_d!r}")
 
     def __len__(self):
         return len(self.points)
@@ -79,7 +80,8 @@ def generate(name, n, seed, components=3, comp_std=0.3, radius=2.0):
         pts, labels, k = _checkerboard(rng, n)
     else:
         raise ConfigurationError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
-    sigma_d = float(np.std(pts))
+    with np.errstate(over="ignore"):  # an overflowing spread is Dataset's error to raise
+        sigma_d = float(np.std(pts))
     return Dataset(name, pts, labels.astype(np.int64), sigma_d, k)
 
 

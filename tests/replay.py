@@ -27,12 +27,11 @@ import tfdl
 from tfdl.distill import DistillConfig
 from tfdl.metrics import sliced_w2
 from tfdl.net import NetSpec
-from tfdl.sampler import search_timesteps
+from tfdl.sampler import SEARCH_GRID, search_timesteps
 
 RECORD = os.path.join(os.path.dirname(os.path.abspath(__file__)), "replay.npz")
 TOLERANCE = 1e-12   # worst difference relative to the array's largest entry
 METRIC_KEYS = ("iter", "scm_loss", "adv_g", "adv_d", "grad_norm", "r", "t_mean")
-SEARCH_GRID = [0.05, 0.1, 0.15] + [round(t, 2) for t in np.arange(0.2, 1.55, 0.1)]
 N_SAMPLES = 256
 
 

@@ -172,6 +172,10 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     pytest.param("net", "net.width", {"width": 100}, id="net-width-100-path"),
     pytest.param("distill", "distill.use_scm", {"use_scm": False, "lambda_adv": 0.0},
                  id="distill-use_scm-false-lambda_adv-0"),
+    # a dataset whose sigma_d overflows to inf or underflows to 0
+    pytest.param("dataset", "sigma_d", {"radius": 1e300}, id="dataset-radius-1e300-sigma_d-inf"),
+    pytest.param("dataset", "sigma_d", {"components": 1, "radius": 0.0, "comp_std": 1e-300},
+                 id="dataset-comp_std-1e-300-sigma_d-0"),
 ])
 def test_out_of_range_config_value_exits_3(tmp_path, capsys, section, key, value):
     # section None is a top-level RunConfig key; a dict value edits several

@@ -381,6 +381,24 @@ def test_oversized_header_is_rejected_before_allocating(tmp_path):
     assert float(out[1]) < 20.0  # MB of peak RSS grown by the rejected load
 
 
+def test_checkpoint_with_non_finite_meta_is_not_written(tmp_path):
+    net = tfdl.VelocityNet(3, seed=8)
+    with pytest.raises(NumericsError, match="sigma_d"):
+        save_params(tmp_path / "inf.ckpt", net.params, meta={"sigma_d": float("inf")})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_checkpoint_header_holding_non_json_constant_is_rejected(tmp_path, constant):
+    net = tfdl.VelocityNet(3, seed=8)
+    path = tmp_path / "a.ckpt"
+    save_net(path, net, {"sigma_d": 0.5})
+    text = path.read_bytes().replace(b'"sigma_d": 0.5', f'"sigma_d": {constant}'.encode(), 1)
+    path.write_bytes(text)
+    with pytest.raises(ConfigurationError, match=f"malformed checkpoint .*{constant}"):
+        load_net(path)
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_net(tmp_path / "missing.ckpt")

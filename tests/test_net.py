@@ -167,10 +167,10 @@ def test_time_embed_sensitivity_matches_fd():
 
 # -- conditioning embedded once per call when t / cfg are constant -----------
 
-def _conditioned_net(seed):
+def _conditioned_net(seed, depth=4):
     # cfg_proj and attn_wo start at zero; give them weight so the guidance
     # embedding and the attention block reach the output
-    net = tfdl.VelocityNet(3, seed=seed, zero_out=False)
+    net = tfdl.VelocityNet(3, spec=NetSpec(depth=depth), seed=seed, zero_out=False)
     rng = np.random.default_rng(seed)
     for name in ("cfg_proj", "attn_wo"):
         net.params[name] = 0.1 * rng.standard_normal(net.params.shapes[name])
@@ -252,8 +252,8 @@ def test_per_row_embedding_paths_unchanged():
 
 # -- plain forwards above one row block run block by block -------------------
 
-def _block_case(seed, n, constant):
-    net = _conditioned_net(seed)
+def _block_case(seed, n, constant, depth=4):
+    net = _conditioned_net(seed, depth)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 2))
     y = rng.integers(0, 3, n)
@@ -306,6 +306,31 @@ def test_traced_forward_above_one_block_is_one_pass(constant):
     leaves = net.params.as_vars()
     tape = net.forward(x, t, y, cfg, params=leaves)
     np.testing.assert_array_equal(tape.v, net._core(leaves, *net._prep(x, t, y, cfg)).v)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("n", [40, 2 * _ROW_BLOCK + 3])
+def test_folded_layer0_matches_tape_forward(monkeypatch, depth, n):
+    # a plain forward at one t and one cfg folds the conditioning and the input
+    # layer into hidden layer 0, once per row block, when that layer comes
+    # before the attention block; a tape forward of the same inputs never folds
+    net, (x, t, y, cfg) = _block_case(33, n, True, depth)
+    y[::7] = net.n_classes  # the null class
+    calls = []
+    folded = tfdl.VelocityNet._folded_layer0
+    monkeypatch.setattr(tfdl.VelocityNet, "_folded_layer0",
+                        staticmethod(lambda *a: calls.append(len(a[1])) or folded(*a)))
+    out, hidden = net.forward(x, t, y, cfg, return_hidden=True)
+    assert sum(calls) == (n if depth >= 2 else 0)
+    calls.clear()
+    tape, tape_hidden = net.forward(x, t, y, cfg, params=net.params.as_vars(),
+                                    return_hidden=True)
+    assert calls == []
+    assert len(hidden) == len(tape_hidden) == depth
+    for got, want in zip([out] + hidden, [tape] + tape_hidden):
+        assert _rel(got, want.v) <= 1e-12
+        if depth == 1:
+            np.testing.assert_array_equal(got, want.v)
 
 
 # -- the fused attention entry against the composed block it replaced --------

@@ -8,7 +8,8 @@ from conftest import AnalyticGaussianFM
 from tfdl.errors import ConfigurationError
 from tfdl.metrics import sliced_w2
 from tfdl.net import _ROW_BLOCK, NetSpec
-from tfdl.sampler import StepSchedule, default_schedule, multistep_sample, search_timesteps
+from tfdl.sampler import (SEARCH_GRID, StepSchedule, default_schedule, multistep_sample,
+                          search_timesteps)
 from tfdl.schedule import HALF_PI
 from tfdl.trigflow import TrigFlowAdapter
 
@@ -195,9 +196,6 @@ def test_search_one_consistency_call_per_candidate():
         assert calls == [c for _, c, _ in table]
 
 
-CLI_GRID = [0.05, 0.1, 0.15] + [round(t, 2) for t in np.arange(0.2, 1.55, 0.1)]
-
-
 def test_search_weak_student_reaches_all_steps():
     # an untrained net favours the smallest time in every round; the walk must
     # still leave room below each pick instead of running out of candidates
@@ -209,10 +207,10 @@ def test_search_weak_student_reaches_all_steps():
     y = rng.integers(0, 2, 256)
     for steps in (3, 4):
         sched, table = search_timesteps(adapter, lambda s: sliced_w2(s, ref, seed=3), steps,
-                                        CLI_GRID, 256, y, 4.5, eval_seed=3)
+                                        SEARCH_GRID, 256, y, 4.5, eval_seed=3)
         assert sched.steps == steps
         for k, c, _ in table:
-            assert sum(0.0 < g < c for g in CLI_GRID) >= steps - 1 - k
+            assert sum(0.0 < g < c for g in SEARCH_GRID) >= steps - 1 - k
 
 
 def test_search_grid_too_short_rejected_up_front():
