@@ -3,11 +3,11 @@
 Every differentiable operation is one ``Prim`` entry of a single rule table
 (``PRIMITIVES``): its primal function, a linear tangent rule, and a transpose
 only where the tangent rule is not its own (elementwise rules scale by a
-diagonal Jacobian and softmax's Jacobian is symmetric). A linear entry omits
-its tangent rule, which is then the primal applied to the tangent. An entry
-may also give a forward that returns a residual for the rules (SiLU keeps its
-sigmoid); without one the residual is the output. The primal and that forward
-compute the output with the same operations, so every mode gives
+diagonal Jacobian). A linear entry omits its tangent rule, which is then the
+primal applied to the tangent. An entry may also give a forward that returns a
+residual for the rules (``dense_silu`` keeps its halved pre-activation and
+``1 + tanh``); without one the residual is the output. The primal and that
+forward compute the output with the same operations, so every mode gives
 bit-identical values.
 
 One rule convention. An entry's operands are its first ``arity`` arguments,
@@ -20,17 +20,18 @@ cost no work. A fixed-arity entry may give one rule per operand instead,
 ``rule(t, *xs, r, *params)``, a tuple of them when it has two operands;
 ``Prim`` lists them once, summing the operands' tangents and summing each
 gradient back to its operand's shape (the reverse of numpy broadcasting).
-``cat``, ``dense_silu`` and ``attention`` write the list form.
+``dense_silu`` and ``attention`` write the list form.
 
 Three fused entries keep the velocity net's tape short. ``attention`` is the
 whole attention block (projections, QK RMS norm, softmax, output projection)
 with hand-derived rules, so a block is one tape node. ``dense_silu([x, W, b])``
 is ``silu(x @ W + b)`` as one node: it forms ``u = x @ (W/2) + b/2`` and
-returns ``u·(1 + tanh u)``. Halving a normal float is exact, so this
-equals the composed graph bit for bit, and its rules keep the ``silu`` entry's
-order of operations, so its tangents and gradients do too. ``sincos(x)``
-returns ``[sin x | cos x]`` along the last axis and keeps that output as its
-residual, so neither rule evaluates a transcendental.
+returns ``u·(1 + tanh u)``. Halving a normal float is exact, so this equals the
+composed graph bit for bit, and its rules keep the order of operations of the
+composed SiLU oracle (``silu`` in ``tests/oracles.py``), so its tangents and
+gradients do too. ``sincos(x)`` returns ``[sin x | cos x]`` along the last
+axis and keeps that output as its residual, so neither rule evaluates a
+transcendental.
 
 Two interpreters. An entry called on plain ndarrays runs its primal;
 otherwise the type of its traced operand interprets the call:
@@ -57,11 +58,9 @@ import numpy as np
 
 __all__ = [
     "Dual", "Var", "PRIMITIVES", "primal", "sin", "cos", "sincos", "exp", "sqrt", "relu",
-    "silu", "dense_silu", "softmax", "neg", "power", "vsum", "vmean", "reshape",
-    "swap_last", "take_rows", "add", "sub", "mul", "div", "matmul", "cat", "attention",
+    "dense_silu", "neg", "power", "vsum", "vmean", "reshape", "take_rows", "add", "sub",
+    "mul", "div", "matmul", "attention",
 ]
-
-PRIMITIVES = {}
 
 
 def _unbroadcast(g, shape):
@@ -258,7 +257,6 @@ class Prim:
                 jvp, vjp = (jvp,), (vjp,)
             jvp, vjp = _listed(jvp, vjp)
         self.jvp, self.vjp = jvp, vjp
-        PRIMITIVES[name] = self
 
     def __call__(self, *args, **kw):
         n = self.arity
@@ -283,26 +281,6 @@ def _swap(x):
     return np.asarray(x).swapaxes(-1, -2)
 
 
-def _sigmoid(x):
-    # tanh form avoids overflow warnings at large |x|
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _silu_fwd(x):
-    s = _sigmoid(x)
-    return x * s, s
-
-
-def _silu(x):
-    # x * _sigmoid(x) with the same operations in the same order, in one buffer
-    s = 0.5 * x
-    np.tanh(s, out=s)
-    s += 1.0
-    s *= 0.5
-    s *= x
-    return s
-
-
 def _sincos(x):
     return np.concatenate([np.sin(x), np.cos(x)], axis=-1)
 
@@ -319,7 +297,7 @@ def _sincos_vjp(g, x, sc):
 
 # -- the fused dense + SiLU layer ----------------------------------------------
 # silu(z) = z·sigmoid(z) = u·(1 + tanh u) with u = z/2 = x @ (W/2) + b/2; the
-# residual is (u, 1 + tanh u), and s = (1 + tanh u)/2 is the silu entry's sigmoid.
+# residual is (u, 1 + tanh u), and s = (1 + tanh u)/2 is the SiLU oracle's sigmoid.
 
 def _dense_half(x, W, b):
     u = x @ (0.5 * W)
@@ -344,7 +322,7 @@ def _dense_silu_fwd(xs):
 
 def _times_slope(t, u, a):
     """``t·silu'(z)`` with silu'(z) = s·(1 + z·(1 - s)), s = a/2 and z = 2u,
-    in one buffer; products in the order of the silu entry's rule."""
+    in one buffer; products in the order of the SiLU oracle's rule."""
     d = 2.0 - a
     d *= u
     d += 1.0
@@ -368,17 +346,6 @@ def _dense_silu_vjp(g, xs, r, live):
     gz = _times_slope(g, *r)
     grads = (lambda: gz @ W.T, lambda: x.T @ gz, lambda: gz.sum(axis=0))
     return [grads[i]() for i in live]
-
-
-def _softmax(z, axis=-1):
-    m = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(m)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _softmax_rule(t, x, s, axis=-1):
-    st = s * t
-    return st - s * st.sum(axis=axis, keepdims=True)
 
 
 # ndarray methods: the numpy functions add a dispatch layer that costs more
@@ -414,16 +381,6 @@ def _take_rows_vjp(g, x, r, idx):
     return (onehot @ g.reshape(idx.size, -1)).reshape(x.shape)
 
 
-def _cat_jvp(ts, xs, r, axis=-1):
-    return np.concatenate([np.zeros_like(x) if t is None else t for t, x in zip(ts, xs)],
-                          axis=axis)
-
-
-def _cat_vjp(g, xs, r, live, axis=-1):
-    parts = np.split(g, np.cumsum([x.shape[axis] for x in xs])[:-1], axis=axis)
-    return [parts[i] for i in live]
-
-
 # -- the fused attention block -----------------------------------------------
 # One node per block over [h, wq, wk, wv, wo]: each row of h is n_tokens tokens
 # of width d. The projections are GEMMs over all B·n_tokens tokens at once, and
@@ -452,7 +409,8 @@ def _rms_rule(t, qn, r):
 
 
 def _attn_softmax_rule(t, s):
-    # symmetric like _softmax_rule, with the sums as GEMVs
+    # the softmax Jacobian diag(s) - s sᵀ per row: symmetric, so it also
+    # transposes; the sums are GEMVs
     st = s * t
     return st - s * _row_sums(st)
 
@@ -524,19 +482,15 @@ cos = Prim("cos", np.cos, lambda t, x, r: -t * np.sin(x))
 exp = Prim("exp", np.exp, lambda t, x, e: t * e)
 sqrt = Prim("sqrt", np.sqrt, lambda t, x, y: 0.5 * t / y)
 relu = Prim("relu", lambda x: np.maximum(x, 0.0), lambda t, x, r: np.where(x > 0, t, 0.0))
-silu = Prim("silu", _silu, lambda t, x, s: t * (s * (1.0 + x * (1.0 - s))),
-            fwd=_silu_fwd)
 sincos = Prim("sincos", _sincos, _sincos_jvp, _sincos_vjp)
 dense_silu = Prim("dense_silu", _dense_silu, _dense_silu_jvp, _dense_silu_vjp,
                   fwd=_dense_silu_fwd, arity=None)
-softmax = Prim("softmax", _softmax, _softmax_rule)
 power = Prim("power", lambda x, k: x ** k, lambda t, x, r, k: t * (k * x ** (k - 1.0)))
 neg = Prim("neg", np.negative)
 vsum = Prim("vsum", _sum, vjp=_sum_vjp)
 vmean = Prim("vmean", _mean, vjp=_mean_vjp)
 reshape = Prim("reshape", lambda x, shape: np.asarray(x).reshape(shape),
                vjp=lambda g, x, r, shape: g.reshape(x.shape))
-swap_last = Prim("swap_last", _swap)
 take_rows = Prim("take_rows", lambda x, idx: x[idx], vjp=_take_rows_vjp)
 add = Prim("add", np.add, (lambda t, a, b, r: t, lambda t, a, b, r: t), arity=2)
 sub = Prim("sub", np.subtract, (lambda t, a, b, r: t, lambda t, a, b, r: -t), arity=2)
@@ -545,7 +499,8 @@ div = Prim("div", np.true_divide, (lambda t, a, b, r: t / b,
                                    lambda t, a, b, r: -t * a / (b * b)), arity=2)
 matmul = Prim("matmul", np.matmul, (lambda t, a, b, r: t @ b, lambda t, a, b, r: a @ t),
               vjp=(lambda g, a, b, r: g @ _swap(b), lambda g, a, b, r: _swap(a) @ g), arity=2)
-cat = Prim("cat", lambda xs, axis=-1: np.concatenate(xs, axis=axis), _cat_jvp, _cat_vjp,
-           arity=None)
 attention = Prim("attention", lambda xs, n_tokens, qk_norm: _attention_fwd(xs, n_tokens, qk_norm)[0],
                  _attention_jvp, _attention_vjp, fwd=_attention_fwd, arity=None)
+
+# the rule table: every entry this module defines, and no other
+PRIMITIVES = {p.name: p for p in list(globals().values()) if isinstance(p, Prim)}

@@ -4,7 +4,9 @@ Every subcommand reads a JSON run configuration and writes its artifacts into
 the output directory, which is created at the first write. Exit codes: 0
 success, 2 usage error, 3 unreadable config or a missing, malformed or
 mismatched checkpoint (made for another dataset, or a student given to
-``distill``), 1 anything else.
+``distill``), 1 anything else: also a floating-point overflow, invalid
+operation or division by zero, which numpy raises here (underflow stays
+silent), naming the training iteration when there is one.
 """
 
 from __future__ import annotations
@@ -198,7 +200,8 @@ def cli(argv):
         return 3
     args.out = args.out or cfg.out_dir
     try:
-        return handler(cfg, args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return handler(cfg, args)
     except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

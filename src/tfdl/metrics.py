@@ -162,12 +162,11 @@ def mmd_rbf(a, b, bandwidth=1.0):
     return max(0.0, float(est))
 
 
-def evaluate(samples, reference, n_proj=64, seed=0, bandwidth=1.0):
-    """Bundle both metrics against a reference set of equal size; sets of
-    different sizes raise ``ValueError``."""
+def evaluate(samples, reference, seed=0):
+    """Bundle both metrics, at their default projection count and bandwidth,
+    against a reference set of equal size; sets of different sizes raise
+    ``ValueError``."""
     if len(samples) != len(reference):
         raise ValueError(f"sample and reference sizes differ: {len(samples)} vs {len(reference)}")
-    return MetricReport(
-        sliced_w2=sliced_w2(samples, reference, n_proj=n_proj, seed=seed),
-        mmd_rbf=mmd_rbf(samples, reference, bandwidth=bandwidth),
-        n_samples=len(samples), seed=seed)
+    return MetricReport(sliced_w2=sliced_w2(samples, reference, seed=seed),
+                        mmd_rbf=mmd_rbf(samples, reference), n_samples=len(samples), seed=seed)

@@ -68,7 +68,7 @@ def train_teacher(net, ds, cfg, rng):
             val, grad = net.value_and_grad(
                 lambda P: _fm_objective(net, P, x0, y, t, z))
             opt.step(net.params.flat, grad)
-        except NumericsError as exc:
+        except (NumericsError, FloatingPointError) as exc:
             raise TrainingDivergence(it, str(exc)) from exc
         if it % cfg.log_every == 0 or it == cfg.iters - 1:
             curve.append((it, val))

@@ -15,6 +15,8 @@ from .errors import ConfigurationError, StateError
 
 DATASET_NAMES = ("gauss-mix", "two-moons", "checkerboard")
 MOON_NOISE = 0.08   # standard deviation of the Gaussian jitter on the two moons
+CHECKER_EXTENT = 2.0  # the checkerboard fills the square [-extent, extent]²
+CHECKER_TILES = 4     # tiles per side of that square, alternating in class
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,10 @@ def _two_moons(rng, n):
     return pts, labels, 2
 
 
-def _checkerboard(rng, n, extent=2.0, tiles=4):
-    pts = rng.uniform(-extent, extent, (n, 2))
-    ij = np.floor((pts + extent) / (2 * extent / tiles)).astype(int)
-    ij = np.clip(ij, 0, tiles - 1)
+def _checkerboard(rng, n):
+    pts = rng.uniform(-CHECKER_EXTENT, CHECKER_EXTENT, (n, 2))
+    ij = np.floor((pts + CHECKER_EXTENT) / (2 * CHECKER_EXTENT / CHECKER_TILES)).astype(int)
+    ij = np.clip(ij, 0, CHECKER_TILES - 1)
     labels = (ij[:, 0] + ij[:, 1]) % 2
     return pts, labels, 2
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import tfdl
-from tfdl.autodiff import (PRIMITIVES, Dual, Var, cat, cos, dense_silu, exp, relu, reshape,
-                           silu, sin, sincos, softmax, sqrt, take_rows, vmean, vsum)
+from oracles import ORACLES, cat, silu, softmax
+from tfdl.autodiff import (PRIMITIVES, Dual, Var, cos, dense_silu, exp, relu, reshape, sin,
+                           sincos, sqrt, take_rows, vmean, vsum)
 from tfdl.net import _ROW_BLOCK, NetSpec
 from tfdl.teacher import _fm_objective
 
@@ -138,7 +139,8 @@ def test_cat_splits_gradient():
 
 
 # -- per-primitive rule sweep -------------------------------------------------
-# Every entry of the rule table is checked on its own: the Dual tangent against
+# Every entry of the rule table, and every composed oracle of tests/oracles.py
+# (built the same way), is checked on its own: the Dual tangent against
 # central differences, and <u, J v> (Dual) against <J^T u, v> (Var), with each
 # subset of arguments live and the others passed as constants; the tape node's
 # parents must be exactly the live arguments. A new entry of arity 1 or 2 is
@@ -200,9 +202,17 @@ def _apply(prim, xs, args, kw):
     return prim(*xs, *args, **kw)
 
 
-@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+TABLE = {**PRIMITIVES, **ORACLES}
+
+
+def test_oracles_stay_out_of_the_library_table():
+    # building an entry registers nothing: the library's table holds its own only
+    assert not PRIMITIVES.keys() & ORACLES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
 def test_primitive_rules(name):
-    prim = PRIMITIVES[name]
+    prim = TABLE[name]
     n_cases = 0
     for xs, args, kw, subsets in _sweep_cases(name, prim):
         plain = np.asarray(_apply(prim, xs, args, kw))

@@ -253,6 +253,48 @@ def test_negative_seed_flag_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _probe_config(out):
+    """A small run config: width 32, depth 2, 20 teacher iterations, 4 distill steps."""
+    d = json.loads(RunConfig().to_json())
+    d["net"].update(width=32, depth=2, n_freq=16)
+    d["teacher"]["iters"] = 20
+    d["distill"]["iters"] = 4
+    d["eval_samples"] = 256
+    d["out_dir"] = str(out)
+    return d
+
+
+@pytest.fixture(scope="module")
+def probe_teacher(tmp_path_factory):
+    root = tmp_path_factory.mktemp("probe")
+    path = root / "run.json"
+    path.write_text(json.dumps(_probe_config(root)))
+    assert cli(["pretrain", "--config", str(path)]) == 0
+    return root / "teacher.ckpt"
+
+
+# values inside their config domains whose arithmetic overflows: the run
+# exits 1 naming the training iteration instead of going on with inf
+@pytest.mark.parametrize("command, path, value, message", [
+    ("pretrain", ("net", "c_noise_scale"), 1e300, "iteration 1: overflow encountered in multiply"),
+    ("distill", ("distill", "cfg_scales"), [1e300], "iteration 0: overflow encountered in multiply"),
+    ("distill", ("distill", "gen_tdist", "p_mean"), 1e10, "iteration 0: overflow encountered in exp"),
+], ids=["net-c_noise_scale-1e300", "distill-cfg_scales-1e300", "distill-gen_tdist-p_mean-1e10"])
+def test_floating_point_error_exits_1(probe_teacher, tmp_path, capsys, command, path, value,
+                                      message):
+    d = _probe_config(tmp_path / "out")
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(d))
+    ckpt = [] if command == "pretrain" else ["--ckpt", str(probe_teacher)]
+    capsys.readouterr()
+    assert cli([command, "--config", str(cfg_path)] + ckpt) == 1
+    assert f"training diverged at {message}" in capsys.readouterr().err
+
+
 # (command, checkpoint in the run directory, dataset of the config, mismatched keys)
 @pytest.mark.parametrize("command, ckpt, dataset, keys", [
     ("distill", "student.ckpt", "gauss-mix", ["role"]),

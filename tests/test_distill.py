@@ -162,11 +162,6 @@ def test_frozen_modules_not_updated_by_step(gauss_ds, tiny_state):
     np.testing.assert_array_equal(state.heads.params.flat, heads_before)
 
 
-def test_stopgrad_view_numerically_equal(tiny_state):
-    state, _ = tiny_state
-    assert state.student_stopgrad.inner.params.flat is state.student.inner.params.flat
-
-
 def test_student_consistency_shape(tiny_state):
     state, _ = tiny_state
     x = np.zeros((3, 2))
