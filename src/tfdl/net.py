@@ -11,11 +11,12 @@ The attention block is one table entry, ``autodiff.attention``, with its own
 forward, JVP and transpose, so a tape holds one node per block; each
 dense+SiLU layer (``autodiff.dense_silu``) and each sinusoidal embedding
 (``autodiff.sincos``) is one node too.
-When ``t`` or ``cfg`` holds one value for the whole batch (every sampling
-step, every distillation batch's guidance scale), its embedding is computed
-once per call as a single row that broadcasts over the batch.
+A scalar ``t`` or ``cfg`` (one value for the whole batch: every sampling
+step, search candidate and Euler step, and every distillation batch's
+guidance scale) is embedded once per call, as a single row that broadcasts
+over the batch; an array is embedded one row per entry.
 
-When both are single rows, ``x`` and every parameter are plain arrays, and
+When both are scalars, ``x`` and every parameter are plain arrays, and
 hidden layer 0 comes before the attention block (``depth >= 2``), layer 0's
 input ``x @ in_w + in_b + cond`` has only ``n_classes + 3`` distinct terms, so
 the input layer and the conditioning fold into layer 0: it is computed as one
@@ -25,7 +26,7 @@ class, the null class included). Per row this removes one of the net's
 ``depth`` width x width GEMMs and the (rows x width) passes that build
 ``cond`` and the layer's input, at a cost of ``(n_classes + 3) * width**2``
 multiply-adds per call. Every sampling step, search candidate and Euler step
-takes this path; per-row ``t`` or ``cfg``, ``Dual`` and ``Var`` inputs and
+takes this path; array ``t`` or ``cfg``, ``Dual`` and ``Var`` inputs and
 depth 1 do not, so no training forward changes. The folded and the generic
 forward of the same inputs differ only by rounding.
 
@@ -102,11 +103,11 @@ def _as_batch(x):
     return x.reshape(1, -1) if x.ndim == 1 else x
 
 
-def broadcast_rows(v, n, dtype=np.float64):
-    """``v`` as one value per row of an ``n``-row batch: a scalar is repeated,
-    an array passes through (labels take ``dtype=np.int64``)."""
-    v = np.asarray(v, dtype=dtype)
-    return np.full(n, v, dtype=dtype) if v.ndim == 0 else v
+def label_rows(y, n):
+    """Class labels ``y`` as one int64 label per row of an ``n``-row batch: a
+    scalar is repeated, an array passes through."""
+    y = np.asarray(y, dtype=np.int64)
+    return np.full(n, y) if y.ndim == 0 else y
 
 
 class VelocityNet:
@@ -144,13 +145,8 @@ class VelocityNet:
 
     @staticmethod
     def _embed(P, v, scale):
-        """Sinusoidal embedding of ``scale * v``, one row per entry of ``v``.
-
-        A plain array whose entries are all equal is embedded once, as a
-        single row that broadcasts against the batch.
-        """
-        if isinstance(v, np.ndarray) and v.size > 1 and np.all(v == v.flat[0]):
-            v = v[:1]
+        """Sinusoidal embedding of ``scale * v``: one row per entry of ``v``,
+        and one row that broadcasts against the batch for a scalar ``v``."""
         return sincos(reshape(v * scale, (-1, 1)) * P["time_freq"])
 
     def _foldable(self, P, x, emb_t, emb_c):
@@ -197,10 +193,10 @@ class VelocityNet:
             x = _as_batch(x)
         n = primal(x).shape[0]
         if not _traced(t):
-            t = broadcast_rows(t, n)
-        y = broadcast_rows(y, n, np.int64)
+            t = np.asarray(t, dtype=np.float64)
+        y = label_rows(y, n)
         if not _traced(cfg):
-            cfg = broadcast_rows(0.0 if cfg is None else cfg, n)
+            cfg = np.asarray(0.0 if cfg is None else cfg, dtype=np.float64)
         if not (np.all(np.isfinite(primal(x))) and np.all(np.isfinite(primal(t)))
                 and np.all(np.isfinite(primal(cfg)))):
             raise NumericsError("non-finite network input")
@@ -222,7 +218,8 @@ class VelocityNet:
                 or any(_traced(P[name]) for name in P)):
             return self._core(P, x, t, y, cfg, collect_hidden=return_hidden)
         blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
-        parts = [self._core(P, x[b], t[b], y[b], cfg[b], collect_hidden=return_hidden)
+        parts = [self._core(P, x[b], t[b] if t.ndim else t, y[b],
+                            cfg[b] if cfg.ndim else cfg, collect_hidden=return_hidden)
                  for b in blocks]
         if not return_hidden:
             return np.concatenate(parts)
@@ -230,8 +227,10 @@ class VelocityNet:
         return np.concatenate(outs), [np.concatenate(layer) for layer in zip(*hidden)]
 
     def jvp(self, x, t, y, cfg, x_tan, t_tan):
-        """Value and exact directional derivative along (x_tan, t_tan)."""
+        """Value and exact directional derivative along (x_tan, t_tan), where
+        ``t_tan`` holds one value per row."""
         x, t, y, cfg = self._prep(x, t, y, cfg)
+        t = np.broadcast_to(t, np.shape(t_tan))
         out = self._core(self.params, Dual(x, x_tan), Dual(t, t_tan), y, cfg)
         if not np.all(np.isfinite(out.t)):
             raise NumericsError("non-finite JVP tangent")

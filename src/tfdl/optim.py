@@ -39,11 +39,6 @@ class ParamVector:
     def __iter__(self):
         return iter(self.names)
 
-    def copy(self):
-        out = ParamVector([(n, self.shapes[n]) for n in self.names])
-        out.flat[:] = self.flat
-        return out
-
     def as_vars(self):
         """Fresh tape leaves for every segment (leaves view the live values)."""
         return {name: Var(self[name]) for name in self.names}

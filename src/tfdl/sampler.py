@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .net import broadcast_rows
+from .net import label_rows
 from .schedule import HALF_PI, trig_perturb
 
 TMAX_N_GRID = (50.0, 100.0, 200.0, 400.0)
@@ -61,13 +61,13 @@ def _step(student, x, t, y, cfg, z=None):
     step, where ``x`` is the initial noise), then predict the solution point."""
     if z is not None:
         x = trig_perturb(x, z, t)
-    return np.asarray(student.consistency(x, np.full(len(x), t), y, cfg=cfg))
+    return np.asarray(student.consistency(x, t, y, cfg=cfg))
 
 
 def multistep_sample(student, sched, n, y, cfg, rng):
     """Alternate solution prediction and renoising along the schedule."""
     sd = student.sigma_d
-    y = broadcast_rows(y, n, np.int64)
+    y = label_rows(y, n)
     x = sd * rng.standard_normal((n, 2))
     for i, t in enumerate(sched.times[:-1]):
         z = sd * rng.standard_normal((n, 2)) if i else None
@@ -103,7 +103,7 @@ def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg, eval_seed=
     if not tmax_cands:
         raise ConfigurationError(f"a {steps}-step search needs {steps - 1} positive grid "
                                  "points below the largest maximum time")
-    y = broadcast_rows(y, n_eval, np.int64)
+    y = label_rows(y, n_eval)
     rng = np.random.default_rng(eval_seed)
     table, times = [], []
 

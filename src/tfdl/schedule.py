@@ -94,10 +94,13 @@ def snr(sched, t):
 class TimestepDistribution:
     """t = arctan(exp(tau)/sigma_d), tau ~ N(p_mean, p_std^2), with an extra
     atom of mass ``max_time_prob`` at exactly t = pi/2; ``sample_t`` takes the
-    data's sigma_d where the times are drawn."""
+    data's sigma_d where the times are drawn. The bounds on ``p_mean`` and
+    ``p_std`` cost nothing: at tau = +-10 a time is already within 5e-5 * sigma_d
+    of pi/2 (or 5e-5 / sigma_d of 0), and exp(tau) overflows only 70 standard
+    deviations out."""
 
-    p_mean: float
-    p_std: float = field(metadata={"gt": 0})
+    p_mean: float = field(metadata={"ge": -10, "le": 10})
+    p_std: float = field(metadata={"gt": 0, "le": 10})
     max_time_prob: float = field(default=0.0, metadata={"ge": 0, "le": 1})
 
     __post_init__ = check_fields

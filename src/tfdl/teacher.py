@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import vmean, vsum
 from .errors import NumericsError, TrainingDivergence, check_fields
-from .net import broadcast_rows
+from .net import label_rows
 from .optim import Adam
 from .schedule import fm_perturb
 from .toydata import batch_arrays, minibatch_arrays
@@ -76,26 +76,17 @@ def train_teacher(net, ds, cfg, rng):
 
 
 def cfg_velocity(net, x, t, y, scale, params=None):
-    """Guided velocity v_u + scale * (v_c - v_u) at a scalar scale; exact at 0 and 1."""
+    """Guided velocity v_u + scale * (v_c - v_u) at a scalar scale, from two
+    passes (unconditional, then conditional); one pass, and exact, at 0 and 1."""
     y = np.asarray(y)
     if np.any(y >= net.n_classes):
         raise ValueError("cfg_velocity needs a real class condition, not the null class")
     if scale == 1.0:
         return net.forward(x, t, y, cfg=0.0, params=params)
+    v_u = net.forward(x, t, np.full_like(y, net.n_classes), cfg=0.0, params=params)
     if scale == 0.0:
-        return net.forward(x, t, np.full_like(y, net.n_classes), cfg=0.0, params=params)
-    if isinstance(x, np.ndarray) and params is None and np.ndim(y) == 1:
-        # plain mode: run both guidance branches as one doubled batch
-        n = len(x)
-        t = np.full(n, t) if np.ndim(t) == 0 else np.asarray(t)
-        both = net.forward(np.concatenate([x, x]), np.concatenate([t, t]),
-                           np.concatenate([y, np.full_like(y, net.n_classes)]),
-                           cfg=0.0)
-        v_c, v_u = both[:n], both[n:]
-    else:
-        null_y = np.full_like(y, net.n_classes)
-        v_u = net.forward(x, t, null_y, cfg=0.0, params=params)
-        v_c = net.forward(x, t, y, cfg=0.0, params=params)
+        return v_u
+    v_c = net.forward(x, t, y, cfg=0.0, params=params)
     return v_u + (v_c - v_u) * scale
 
 
@@ -108,10 +99,10 @@ def euler_integrate(velocity, n, y, t_start, steps, sigma_d, rng):
     if steps < 1:
         raise ValueError("steps must be at least 1")
     x = sigma_d * rng.standard_normal((n, 2))
-    y = broadcast_rows(y, n, np.int64)
+    y = label_rows(y, n)
     ts = np.linspace(t_start, 0.0, steps + 1)
     for i in range(steps):
-        v = velocity(x, np.full(n, ts[i]), y)
+        v = velocity(x, ts[i], y)
         x = x + ((ts[i + 1] - ts[i]) * sigma_d) * np.asarray(v)
         if not np.all(np.isfinite(x)):
             raise NumericsError(f"non-finite state at Euler step {i}")

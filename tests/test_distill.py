@@ -14,7 +14,7 @@ from conftest import AnalyticGaussianFM, fresh_process_env
 from tfdl.distill import (DistillConfig, _generator_objective, _tangent_and_value,
                           adaptive_weight, draw, hinge_disc, hinge_gen, init_distill,
                           scm_objective, scm_target)
-from tfdl.errors import TrainingDivergence
+from tfdl.errors import ConfigurationError, TrainingDivergence
 from tfdl.schedule import HALF_PI, TimestepDistribution, mix_max_time
 from tfdl.toydata import minibatch_arrays
 from tfdl.trigflow import TrigFlowAdapter
@@ -261,6 +261,8 @@ def test_config_validation():
         DistillConfig(use_scm=False, lambda_adv=0.0)
     with pytest.raises(ValueError):
         TimestepDistribution(0.0, -1.0)
+    with pytest.raises(ConfigurationError):
+        TimestepDistribution(1e10, 1.6)
 
 
 _THREAD_PROBE = """

@@ -166,7 +166,7 @@ def test_time_embed_sensitivity_matches_fd():
     assert abs(sens - fd) / fd < 1e-4
 
 
-# -- conditioning embedded once per call when t / cfg are constant -----------
+# -- conditioning embedded once per call when t / cfg are scalars ------------
 
 def _conditioned_net(seed, depth=4):
     # cfg_proj and attn_wo start at zero; give them weight so the guidance
@@ -179,16 +179,16 @@ def _conditioned_net(seed, depth=4):
 
 
 def _constant_and_per_row(rng, n=16, t0=0.7, cfg0=4.5):
-    """A constant-(t, cfg) batch, and the same rows plus one with other values.
+    """A batch at scalar t and cfg, and the same rows plus one with other values.
 
-    The extra row makes t and cfg vary, so the longer batch embeds per row;
-    its first n rows are the constant batch.
+    The longer batch holds t and cfg as arrays, so it embeds per row; its
+    first n rows are the scalar batch.
     """
     x = rng.standard_normal((n, 2))
     y = rng.integers(0, 3, n)
-    const = (x, np.full(n, t0), y, np.full(n, cfg0))
-    per_row = (np.vstack([x, x[:1]]), np.append(const[1], t0 + 0.25),
-               np.append(y, y[:1]), np.append(const[3], cfg0 + 1.0))
+    const = (x, t0, y, cfg0)
+    per_row = (np.vstack([x, x[:1]]), np.append(np.full(n, t0), t0 + 0.25),
+               np.append(y, y[:1]), np.append(np.full(n, cfg0), cfg0 + 1.0))
     return const, per_row
 
 
@@ -233,9 +233,9 @@ def test_constant_conditioning_gradient_matches_per_row():
 def test_constant_time_embedding_is_bit_identical_to_per_row():
     net = tfdl.VelocityNet(3, spec=NetSpec(c_noise_scale=1000.0), seed=23)
     for t0 in (1e-3, 0.3, 1.0):
-        t = np.full(64, t0)
-        one = net._embed(net.params, t, net.spec.c_noise_scale)
-        rows = net._embed(net.params, np.append(t, t0 + 0.1), net.spec.c_noise_scale)[:64]
+        one = net._embed(net.params, np.asarray(t0), net.spec.c_noise_scale)
+        rows = net._embed(net.params, np.append(np.full(64, t0), t0 + 0.1),
+                          net.spec.c_noise_scale)[:64]
         assert one.shape == (1, net.spec.width)
         np.testing.assert_array_equal(np.broadcast_to(one, rows.shape), rows)
 
@@ -243,9 +243,10 @@ def test_constant_time_embedding_is_bit_identical_to_per_row():
 def test_per_row_embedding_paths_unchanged():
     net = tfdl.VelocityNet(3, seed=24)
     P, w = net.params, net.spec.width
+    assert net._embed(P, np.asarray(0.3), 1.0).shape == (1, w)
+    # an array time keeps one row per entry, even when its values are equal
     t = np.full(5, 0.3)
-    assert net._embed(P, t, 1.0).shape == (1, w)
-    # a Dual time keeps one row per entry, even when its values are equal
+    assert net._embed(P, t, 1.0).shape == (5, w)
     assert net._embed(P, Dual(t, np.ones(5)), 1.0).p.shape == (5, w)
     assert net._embed(P, t[:1], 1.0).shape == (1, w)
     assert net._embed(P, np.array([0.3, 0.4, 0.3]), 1.0).shape == (3, w)
@@ -259,7 +260,7 @@ def _block_case(seed, n, constant, depth=4):
     x = rng.standard_normal((n, 2))
     y = rng.integers(0, 3, n)
     if constant:
-        return net, (x, np.full(n, 0.7), y, np.full(n, 4.5))
+        return net, (x, 0.7, y, 4.5)
     return net, (x, rng.uniform(0.05, 1.4, n), y, rng.uniform(0.0, 5.0, n))
 
 
@@ -272,7 +273,7 @@ def test_blocked_forward_is_concatenation_of_blocks(constant):
     b = _ROW_BLOCK
     net, args = _block_case(30, 2 * b + 3, constant)
     out, hidden = net.forward(*args, return_hidden=True)
-    parts = [net.forward(*(a[i:i + b] for a in args), return_hidden=True)
+    parts = [net.forward(*(a[i:i + b] if np.ndim(a) else a for a in args), return_hidden=True)
              for i in (0, b, 2 * b)]
     np.testing.assert_array_equal(out, np.concatenate([p[0] for p in parts]))
     np.testing.assert_array_equal(net.forward(*args), out)
@@ -294,13 +295,14 @@ def test_forward_of_one_block_is_one_pass(constant):
 def test_traced_forward_above_one_block_is_one_pass(constant):
     net, (x, t, y, cfg) = _block_case(32, _ROW_BLOCK + 40, constant)
     rng = np.random.default_rng(32)
-    x_tan, t_tan = rng.standard_normal(x.shape), rng.standard_normal(t.shape)
+    x_tan, t_tan = rng.standard_normal(x.shape), rng.standard_normal(len(x))
     p, tan = net.jvp(x, t, y, cfg, x_tan, t_tan)
-    whole = net._core(net.params, Dual(x, x_tan), Dual(t, t_tan), y, cfg)
+    t_rows = np.broadcast_to(t, t_tan.shape)  # a Dual time carries one value per row
+    whole = net._core(net.params, Dual(x, x_tan), Dual(t_rows, t_tan), y, cfg)
     np.testing.assert_array_equal(p, whole.p)
     np.testing.assert_array_equal(tan, whole.t)
     # a Dual input to forward itself also stays one pass
-    out = net.forward(Dual(x, x_tan), Dual(t, t_tan), y, cfg)
+    out = net.forward(Dual(x, x_tan), Dual(t_rows, t_tan), y, cfg)
     np.testing.assert_array_equal(out.p, whole.p)
     np.testing.assert_array_equal(out.t, whole.t)
     # and so does a tape forward over parameter leaves
@@ -312,9 +314,10 @@ def test_traced_forward_above_one_block_is_one_pass(constant):
 @pytest.mark.parametrize("depth", [1, 2, 4])
 @pytest.mark.parametrize("n", [40, 2 * _ROW_BLOCK + 3])
 def test_folded_layer0_matches_tape_forward(monkeypatch, depth, n):
-    # a plain forward at one t and one cfg folds the conditioning and the input
+    # a plain forward at a scalar t and cfg folds the conditioning and the input
     # layer into hidden layer 0, once per row block, when that layer comes
-    # before the attention block; a tape forward of the same inputs never folds
+    # before the attention block; a tape forward of the same inputs, and a
+    # plain forward of t and cfg as arrays of equal entries, never fold
     net, (x, t, y, cfg) = _block_case(33, n, True, depth)
     y[::7] = net.n_classes  # the null class
     calls = []
@@ -327,6 +330,9 @@ def test_folded_layer0_matches_tape_forward(monkeypatch, depth, n):
     tape, tape_hidden = net.forward(x, t, y, cfg, params=net.params.as_vars(),
                                     return_hidden=True)
     assert calls == []
+    per_row = net.forward(x, np.full(n, t), y, np.full(n, cfg))
+    assert calls == []
+    assert _rel(out, per_row) <= 1e-12
     assert len(hidden) == len(tape_hidden) == depth
     for got, want in zip([out] + hidden, [tape] + tape_hidden):
         assert _rel(got, want.v) <= 1e-12

@@ -72,7 +72,7 @@ def test_consistency_called_once_per_step():
         sigma_d = 1.0
 
         def consistency(self, x, t, y, cfg=None, params=None):
-            calls.append(float(t[0]))
+            calls.append(float(t))
             return np.asarray(x) * 0.5
 
     for steps in (1, 2, 4):
@@ -87,6 +87,25 @@ def _quadratic_metric(center):
     def metric(samples):
         return float(np.mean((samples - center) ** 2))
     return metric
+
+
+def test_sampling_folds_layer0_for_every_row_of_each_pass(monkeypatch):
+    # the sampler hands the student one scalar time per pass, so every step and
+    # every search candidate takes the folded hidden layer 0 for all its rows
+    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=4, n_freq=8), seed=5)
+    adapter = TrigFlowAdapter(net, 0.8)
+    rows = []
+    folded = tfdl.VelocityNet._folded_layer0
+    monkeypatch.setattr(tfdl.VelocityNet, "_folded_layer0",
+                        staticmethod(lambda *a: rows.append(len(a[1])) or folded(*a)))
+    n = 40
+    sched = default_schedule(4, 0.8)
+    multistep_sample(adapter, sched, n, 0, 1.0, np.random.default_rng(0))
+    assert rows == [n] * sched.steps
+    rows.clear()
+    _, table = search_timesteps(adapter, _quadratic_metric(np.zeros(2)), 2, [0.4, 0.8, 1.3],
+                                n, 0, 1.0)
+    assert rows == [n] * len(table)
 
 
 def test_search_returns_valid_schedule_and_table():
@@ -181,7 +200,7 @@ def test_search_one_consistency_call_per_candidate():
         sigma_d = 1.0
 
         def consistency(self, x, t, y, cfg=None, params=None):
-            calls.append(float(t[0]))
+            calls.append(float(t))
             return np.asarray(x) * 0.5
 
     def spread(samples):
