@@ -11,33 +11,36 @@ The attention block is one table entry, ``autodiff.attention``, with its own
 forward, JVP and transpose, so a tape holds one node per block; each
 dense+SiLU layer (``autodiff.dense_silu``) and each sinusoidal embedding
 (``autodiff.sincos``) is one node too.
-A scalar ``t`` or ``cfg`` (one value for the whole batch: every sampling
-step, search candidate and Euler step, and every distillation batch's
-guidance scale) is embedded once per call, as a single row that broadcasts
-over the batch; an array is embedded one row per entry.
+Each of ``t``, ``cfg`` and ``y`` is a scalar, one value for the whole batch
+(every sampling step, search candidate and Euler step, and every distillation
+batch's guidance scale), or has one entry per row of ``x``: ``_prep`` checks
+that once, raising ``ValueError`` that names the argument, and is the one
+place a scalar label is repeated per row. A scalar ``t`` or ``cfg`` is
+embedded once per call, as one row that broadcasts over the batch.
 
-When both are scalars, ``x`` and every parameter are plain arrays, and
-hidden layer 0 comes before the attention block (``depth >= 2``), layer 0's
-input ``x @ in_w + in_b + cond`` has only ``n_classes + 3`` distinct terms, so
-the input layer and the conditioning fold into layer 0: it is computed as one
+``forward`` decides once per call whether any input or parameter is a ``Dual``
+or ``Var``; such a forward runs as one pass. A plain forward runs in row
+blocks (below) and, when ``t`` and ``cfg`` are both scalars and hidden layer 0
+comes before the attention block (``depth >= 2``), folds: layer 0's input
+``x @ in_w + in_b + cond`` then has only ``n_classes + 3`` distinct terms, so
+the input layer and the conditioning fold into one
 ``dense_silu([x | onehot(y)], W_fold, h0_b)``, where ``W_fold`` stacks
 ``in_w @ h0_w`` on ``(cls_table + in_b + emb_t + emb_c) @ h0_w`` (one row per
 class, the null class included). Per row this removes one of the net's
 ``depth`` width x width GEMMs and the (rows x width) passes that build
 ``cond`` and the layer's input, at a cost of ``(n_classes + 3) * width**2``
-multiply-adds per call. Every sampling step, search candidate and Euler step
-takes this path; array ``t`` or ``cfg``, ``Dual`` and ``Var`` inputs and
-depth 1 do not, so no training forward changes. The folded and the generic
-forward of the same inputs differ only by rounding.
+multiply-adds per row block. Every sampling step, search candidate and Euler
+step takes this path; array ``t`` or ``cfg``, traced forwards and depth 1 do
+not, so no training forward changes. The folded and the generic forward of
+the same inputs differ only by rounding.
 
-A plain-ndarray forward of more than ``_ROW_BLOCK`` (512) rows runs in
-consecutive blocks of at most that many rows. At a few thousand rows each
-``(B, width)`` float64 temporary outgrows a core's L2 cache, and the ~30
-elementwise, attention and SiLU passes of a forward would each stream it from
-L3 or memory; a block's temporaries stay in cache. Rows are independent (the
+A plain forward of more than ``_ROW_BLOCK`` (512) rows runs in consecutive
+blocks of at most that many rows. At a few thousand rows each ``(B, width)``
+float64 temporary outgrows a core's L2 cache, and the ~30 elementwise,
+attention and SiLU passes of a forward would each stream it from L3 or
+memory; a block's temporaries stay in cache. Rows are independent (the
 attention mixes only the tokens of one row), so blocking changes GEMM
-rounding and nothing else. Batches of at most 512 rows, ``jvp`` and every
-forward that carries a ``Dual`` or ``Var`` run as one pass.
+rounding and nothing else.
 
 The same forward code runs in three modes: plain ndarrays for inference,
 ``Dual`` arrays for exact forward-mode tangents (jvp), and tape ``Var`` leaves
@@ -103,13 +106,6 @@ def _as_batch(x):
     return x.reshape(1, -1) if x.ndim == 1 else x
 
 
-def label_rows(y, n):
-    """Class labels ``y`` as one int64 label per row of an ``n``-row batch: a
-    scalar is repeated, an array passes through."""
-    y = np.asarray(y, dtype=np.int64)
-    return np.full(n, y) if y.ndim == 0 else y
-
-
 class VelocityNet:
     """F(x, t, y, cfg) with value, forward-mode JVP, and reverse-mode gradient.
 
@@ -149,14 +145,6 @@ class VelocityNet:
         and one row that broadcasts against the batch for a scalar ``v``."""
         return sincos(reshape(v * scale, (-1, 1)) * P["time_freq"])
 
-    def _foldable(self, P, x, emb_t, emb_c):
-        """Whether hidden layer 0 takes the folded form: a plain forward whose
-        ``t`` and ``cfg`` each embed to one row, with layer 0 before attention."""
-        return (self.spec.depth // 2 >= 1
-                and not any(_traced(v) for v in (x, emb_t, emb_c))
-                and emb_t.shape[0] == emb_c.shape[0] == 1
-                and not any(_traced(P[name]) for name in P))
-
     @staticmethod
     def _folded_layer0(P, x, y, emb_t, emb_c):
         """Hidden layer 0 as ``dense_silu([x | onehot(y)], W_fold, h0_b)``; the
@@ -169,10 +157,11 @@ class VelocityNet:
         xy[np.arange(len(y)), 2 + y] = 1.0
         return dense_silu([xy, w_fold, P["h0_b"]])
 
-    def _core(self, P, x, t, y, cfg, collect_hidden=False):
+    def _core(self, P, x, t, y, cfg, fold=False, collect_hidden=False):
+        """One pass of the net; ``fold`` computes hidden layer 0 folded."""
         emb_t = self._embed(P, t, self.spec.c_noise_scale)
         emb_c = self._embed(P, cfg, 0.1) @ P["cfg_proj"]
-        if self._foldable(P, x, emb_t, emb_c):
+        if fold:
             h = self._folded_layer0(P, x, y, emb_t, emb_c)
             hidden, first = [h], 1
         else:
@@ -189,37 +178,50 @@ class VelocityNet:
         return (out, hidden) if collect_hidden else out
 
     def _prep(self, x, t, y, cfg):
+        """The call contract: ``t``, ``cfg`` and ``y`` each a scalar or one
+        entry per row of ``x`` (else ``ValueError`` naming the argument); a
+        scalar ``y`` repeated per row; every input finite, every label valid."""
         if not _traced(x):
             x = _as_batch(x)
         n = primal(x).shape[0]
         if not _traced(t):
             t = np.asarray(t, dtype=np.float64)
-        y = label_rows(y, n)
         if not _traced(cfg):
             cfg = np.asarray(0.0 if cfg is None else cfg, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        for name, v in (("t", t), ("y", y), ("cfg", cfg)):
+            shape = primal(v).shape
+            if shape not in ((), (n,)):
+                raise ValueError(f"{name} has shape {shape}; a batch of shape {primal(x).shape} "
+                                 f"takes a scalar or shape ({n},)")
         if not (np.all(np.isfinite(primal(x))) and np.all(np.isfinite(primal(t)))
                 and np.all(np.isfinite(primal(cfg)))):
             raise NumericsError("non-finite network input")
         if np.any(y < 0) or np.any(y > self.n_classes):
             raise ValueError("class index outside the embedding table")
-        return x, t, y, cfg
+        return x, t, np.full(n, y) if y.ndim == 0 else y, cfg
 
     # -- public evaluation ----------------------------------------------------
 
     def forward(self, x, t, y, cfg=None, params=None, return_hidden=False):
         """Velocity prediction, shape (B, 2).
 
-        Plain inputs of more than ``_ROW_BLOCK`` rows run in row blocks.
+        ``t``, ``cfg`` and ``y`` are each a scalar or one entry per row. A
+        ``Dual`` or ``Var`` input or parameter makes it one traced pass; a
+        plain forward runs in row blocks, folding hidden layer 0 when ``t``
+        and ``cfg`` are scalars and ``depth >= 2``.
         """
         x, t, y, cfg = self._prep(x, t, y, cfg)
         P = self.params if params is None else params
-        n = len(y)
-        if (n <= _ROW_BLOCK or _traced(x) or _traced(t) or _traced(cfg)
-                or any(_traced(P[name]) for name in P)):
+        if any(_traced(v) for v in (x, t, cfg, *(P[name] for name in P))):
             return self._core(P, x, t, y, cfg, collect_hidden=return_hidden)
+        fold = t.ndim == cfg.ndim == 0 and self.spec.depth >= 2
+        n = len(y)
+        if n <= _ROW_BLOCK:
+            return self._core(P, x, t, y, cfg, fold, collect_hidden=return_hidden)
         blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
-        parts = [self._core(P, x[b], t[b] if t.ndim else t, y[b],
-                            cfg[b] if cfg.ndim else cfg, collect_hidden=return_hidden)
+        parts = [self._core(P, x[b], t[b] if t.ndim else t, y[b], cfg[b] if cfg.ndim else cfg,
+                            fold, collect_hidden=return_hidden)
                  for b in blocks]
         if not return_hidden:
             return np.concatenate(parts)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .net import label_rows
 from .schedule import HALF_PI, trig_perturb
 
 TMAX_N_GRID = (50.0, 100.0, 200.0, 400.0)
@@ -36,7 +35,7 @@ class StepSchedule:
             raise ValueError("schedule must end at 0.0")
         if any(b >= a for a, b in zip(ts, ts[1:])):
             raise ValueError("schedule times must be strictly decreasing")
-        if ts[0] > HALF_PI or any(t < 0 for t in ts):
+        if not all(0.0 <= t <= HALF_PI for t in ts):
             raise ValueError("schedule times must lie in [0, pi/2]")
 
     @property
@@ -67,7 +66,6 @@ def _step(student, x, t, y, cfg, z=None):
 def multistep_sample(student, sched, n, y, cfg, rng):
     """Alternate solution prediction and renoising along the schedule."""
     sd = student.sigma_d
-    y = label_rows(y, n)
     x = sd * rng.standard_normal((n, 2))
     for i, t in enumerate(sched.times[:-1]):
         z = sd * rng.standard_normal((n, 2)) if i else None
@@ -103,7 +101,6 @@ def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg, eval_seed=
     if not tmax_cands:
         raise ConfigurationError(f"a {steps}-step search needs {steps - 1} positive grid "
                                  "points below the largest maximum time")
-    y = label_rows(y, n_eval)
     rng = np.random.default_rng(eval_seed)
     table, times = [], []
 

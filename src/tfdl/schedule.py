@@ -41,14 +41,14 @@ def flow_matching():
 
 
 def trigflow(sigma_d):
-    if sigma_d <= 0:
-        raise ValueError("sigma_d must be positive")
+    if not (np.isfinite(sigma_d) and sigma_d > 0):
+        raise ValueError(f"sigma_d must be finite and positive, not {sigma_d!r}")
     return Schedule("trigflow", np.cos, np.sin, HALF_PI, float(sigma_d))
 
 
 def _check_domain(sched, t):
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > sched.t_max):
+    if not np.all((t >= 0) & (t <= sched.t_max)):
         raise DomainError(f"time outside [0, {sched.t_max}] for {sched.family}")
     return t
 

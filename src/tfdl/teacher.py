@@ -13,7 +13,6 @@ import numpy as np
 
 from .autodiff import vmean, vsum
 from .errors import NumericsError, TrainingDivergence, check_fields
-from .net import label_rows
 from .optim import Adam
 from .schedule import fm_perturb
 from .toydata import batch_arrays, minibatch_arrays
@@ -83,7 +82,7 @@ def cfg_velocity(net, x, t, y, scale, params=None):
         raise ValueError("cfg_velocity needs a real class condition, not the null class")
     if scale == 1.0:
         return net.forward(x, t, y, cfg=0.0, params=params)
-    v_u = net.forward(x, t, np.full_like(y, net.n_classes), cfg=0.0, params=params)
+    v_u = net.forward(x, t, net.n_classes, cfg=0.0, params=params)
     if scale == 0.0:
         return v_u
     v_c = net.forward(x, t, y, cfg=0.0, params=params)
@@ -99,7 +98,6 @@ def euler_integrate(velocity, n, y, t_start, steps, sigma_d, rng):
     if steps < 1:
         raise ValueError("steps must be at least 1")
     x = sigma_d * rng.standard_normal((n, 2))
-    y = label_rows(y, n)
     ts = np.linspace(t_start, 0.0, steps + 1)
     for i in range(steps):
         v = velocity(x, ts[i], y)

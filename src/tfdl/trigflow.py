@@ -30,7 +30,7 @@ def _trig_maps(t):
     """sin t, t_fm and lambda = 1 / (sin t + cos t) as a column, for trig times
     in [0, pi/2]; one domain check, one sin and one cos."""
     tp = primal(t)
-    if np.any(tp < 0) or np.any(tp > HALF_PI + 1e-12):
+    if not np.all((tp >= 0) & (tp <= HALF_PI + 1e-12)):
         raise DomainError("trig time outside [0, pi/2]")
     s = ad.sin(t)
     sc = s + ad.cos(t)
@@ -57,8 +57,8 @@ class TrigFlowAdapter:
     """
 
     def __init__(self, inner, sigma_d, teacher_cfg=False):
-        if sigma_d <= 0:
-            raise ValueError("sigma_d must be positive")
+        if not (np.isfinite(sigma_d) and sigma_d > 0):
+            raise ValueError(f"sigma_d must be finite and positive, not {sigma_d!r}")
         self.inner = inner
         self.sigma_d = float(sigma_d)
         self.teacher_cfg = teacher_cfg
@@ -81,11 +81,13 @@ class TrigFlowAdapter:
         v = self._flow_velocity((x * (1.0 / self.sigma_d)) * lam, tf, y, cfg, params)
         return lam * (x - reshape(s * self.sigma_d, (-1, 1)) * v)
 
-    def features(self, x, t, y, params=None):
-        """Hidden activations of the unguided conditional inner pass at raw-scale x."""
+    def features(self, x, t, y):
+        """Hidden activations, one (B, width) array per layer, of the unguided
+        conditional inner pass at raw-scale x under the frozen inner net's own
+        parameters; a traced ``x`` stays traced."""
         _, tf, lam = _trig_maps(t)
         x_fm = (x * (1.0 / self.sigma_d)) * lam
-        return self.inner.forward(x_fm, tf, y, cfg=0.0, params=params, return_hidden=True)[1]
+        return self.inner.forward(x_fm, tf, y, cfg=0.0, return_hidden=True)[1]
 
 
 def euler_sample_trig(adapter, n, steps, y, cfg, rng):

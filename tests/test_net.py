@@ -265,7 +265,9 @@ def _block_case(seed, n, constant, depth=4):
 
 
 def _one_pass(net, args, collect_hidden=False):
-    return net._core(net.params, *net._prep(*args), collect_hidden=collect_hidden)
+    """One unblocked pass, folded exactly when ``forward`` would fold."""
+    fold = np.ndim(args[1]) == np.ndim(args[3]) == 0 and net.spec.depth >= 2
+    return net._core(net.params, *net._prep(*args), fold, collect_hidden=collect_hidden)
 
 
 @pytest.mark.parametrize("constant", [False, True])
@@ -338,6 +340,33 @@ def test_folded_layer0_matches_tape_forward(monkeypatch, depth, n):
         assert _rel(got, want.v) <= 1e-12
         if depth == 1:
             np.testing.assert_array_equal(got, want.v)
+
+
+# -- the call contract: t, y and cfg are each a scalar or one entry per row ---
+
+@pytest.mark.parametrize("name", ["t", "y", "cfg"])
+@pytest.mark.parametrize("n, size, scalar_rest", [(500, 1, True), (500, 1, False),
+                                                  (600, 1, True), (10, 3, True)])
+def test_conditioning_of_another_length_is_rejected(name, n, size, scalar_rest):
+    # a one-entry array used to broadcast up to one row block (folded or not)
+    # and to fail inside numpy above it; every length but n now fails up front
+    net = tfdl.VelocityNet(3, spec=NetSpec(width=16, depth=4, n_freq=8), seed=50)
+    rng = np.random.default_rng(50)
+    x = rng.standard_normal((n, 2))
+    scalars = {"t": 0.7, "y": 1, "cfg": 4.5}
+    args = dict(scalars) if scalar_rest else {
+        "t": rng.uniform(0.05, 1.4, n), "y": rng.integers(0, 3, n), "cfg": rng.uniform(0, 5, n)}
+    args[name] = np.full(size, scalars[name])
+    with pytest.raises(ValueError, match=rf"^{name} has shape \({size},\); .*\({n},\)"):
+        net.forward(x, args["t"], args["y"], args["cfg"])
+
+
+@pytest.mark.parametrize("constant", [False, True])
+def test_scalar_label_equals_per_row_labels(constant):
+    net, (x, t, _, cfg) = _block_case(34, 2 * _ROW_BLOCK + 3, constant)
+    for label in (1, net.n_classes):
+        np.testing.assert_array_equal(net.forward(x, t, label, cfg),
+                                      net.forward(x, t, np.full(len(x), label), cfg))
 
 
 # -- the fused attention entry against the composed block it replaced --------

@@ -37,6 +37,10 @@ def test_schedule_validation():
         StepSchedule((0.5, 1.0, 0.0))     # not decreasing
     with pytest.raises(ValueError):
         StepSchedule((2.0, 0.0))          # above pi/2
+    with pytest.raises(ValueError):
+        StepSchedule((np.nan, 0.0))       # NaN first
+    with pytest.raises(ValueError):
+        StepSchedule((1.0, np.nan, 0.0))  # NaN in the middle
 
 
 def test_one_step_from_max_time_gives_data_mean():
@@ -191,6 +195,22 @@ def test_search_table_equals_naive_rescoring(make_case):
             cand = StepSchedule(sched.times[:k] + (c, 0.0))
             rng = np.random.default_rng(7)
             assert score == metric(multistep_sample(adapter, cand, ORACLE_N, y, 2.0, rng))
+
+
+@pytest.mark.parametrize("teacher_cfg", [False, True])
+def test_scalar_label_equals_per_row_labels(teacher_cfg):
+    # the sampler hands a scalar label to the net, which repeats it per row
+    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=4, n_freq=8), seed=5)
+    adapter = TrigFlowAdapter(net, 0.8, teacher_cfg=teacher_cfg)
+    n, per_row = ORACLE_N, np.full(ORACLE_N, 1)
+    sched = default_schedule(4, 0.8)
+    np.testing.assert_array_equal(
+        multistep_sample(adapter, sched, n, 1, 2.0, np.random.default_rng(8)),
+        multistep_sample(adapter, sched, n, per_row, 2.0, np.random.default_rng(8)))
+    metric = _quadratic_metric(np.array([0.1, -0.2]))
+    one = search_timesteps(adapter, metric, 2, ORACLE_GRID, n, 1, 2.0, eval_seed=8)
+    rows = search_timesteps(adapter, metric, 2, ORACLE_GRID, n, per_row, 2.0, eval_seed=8)
+    assert one == rows
 
 
 def test_search_one_consistency_call_per_candidate():

@@ -25,6 +25,11 @@ def test_perturb_fm_interpolates():
 def test_perturb_domain_error():
     with pytest.raises(DomainError):
         perturb(flow_matching(), np.zeros(2), np.zeros(2), 1.5)
+    for sched in (flow_matching(), trigflow(0.5)):
+        with pytest.raises(DomainError):
+            perturb(sched, np.zeros(2), np.zeros(2), np.nan)
+        with pytest.raises(DomainError):
+            snr(sched, np.nan)
 
 
 def test_snr_values():

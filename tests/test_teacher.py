@@ -6,6 +6,7 @@ import pytest
 import tfdl
 from conftest import AnalyticGaussianFM, ZeroFM
 from tfdl.errors import TrainingDivergence
+from tfdl.net import _ROW_BLOCK
 from tfdl.teacher import cfg_velocity, euler_sample_fm, fm_loss, train_teacher
 
 
@@ -138,6 +139,19 @@ def test_cfg_velocity_affine_in_scale():
     lo = cfg_velocity(net, x, t, y, 4.0)
     hi = cfg_velocity(net, x, t, y, 5.0)
     np.testing.assert_allclose(mid, 0.5 * (lo + hi), rtol=0, atol=1e-12)
+
+
+def test_scalar_label_equals_per_row_labels():
+    # cfg_velocity and the Euler loop hand a scalar label to the net as given
+    rng = np.random.default_rng(14)
+    net = tfdl.VelocityNet(3, seed=10, zero_out=False)
+    n = 2 * _ROW_BLOCK + 3
+    x, t = rng.standard_normal((n, 2)), rng.uniform(0, 1, n)
+    np.testing.assert_array_equal(cfg_velocity(net, x, t, 1, 4.5),
+                                  cfg_velocity(net, x, t, np.full(n, 1), 4.5))
+    np.testing.assert_array_equal(
+        euler_sample_fm(net, n, 3, 1, 4.5, np.random.default_rng(15)),
+        euler_sample_fm(net, n, 3, np.full(n, 1), 4.5, np.random.default_rng(15)))
 
 
 def test_cfg_velocity_rejects_null_condition():

@@ -24,6 +24,16 @@ def test_t_fm_of_domain_error():
         t_fm_of(-0.1)
     with pytest.raises(DomainError):
         t_fm_of(1.7)
+    with pytest.raises(DomainError):
+        t_fm_of(np.array([np.nan]))
+
+
+@pytest.mark.parametrize("sigma_d", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_sigma_d_must_be_finite_and_positive(sigma_d):
+    with pytest.raises(ValueError, match="sigma_d must be finite and positive"):
+        TrigFlowAdapter(ZeroFM(), sigma_d)
+    with pytest.raises(ValueError, match="sigma_d must be finite and positive"):
+        trigflow(sigma_d)
 
 
 def test_scale_factor_reference_points():
