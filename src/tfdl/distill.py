@@ -48,7 +48,7 @@ class DistillConfig:
     tangent_c: float = field(default=0.1, metadata={"gt": 0})
     gen_tdist: TimestepDistribution = TimestepDistribution(0.0, 1.6, 0.5)   # frozen: shareable
     disc_tdist: TimestepDistribution = TimestepDistribution(-0.6, 1.0, 0.0)
-    cfg_scales: tuple[float, ...] = (4.0, 4.5, 5.0)
+    cfg_scales: tuple[float, ...] = field(default=(4.0, 4.5, 5.0), metadata={"ge": 0, "le": 1e3})
     use_scm: bool = True
     head_width: int = field(default=64, metadata={"ge": 1})
     wphi_width: int = field(default=32, metadata={"ge": 1})

@@ -55,12 +55,27 @@ def check_fields(obj):
     """Check each field of the dataclass ``obj`` against its annotated type and
     the domain in its metadata (bounds ``ge``, ``gt``, ``le``; ``choices``), and
     raise ``ConfigurationError`` naming the first field that fails. Types are
-    exact: an ``int`` takes no bool or float, a ``float`` takes a finite int or
-    float, and a ``tuple[float, ...]`` a non-empty tuple of such floats."""
+    exact: an ``int`` takes no bool or float, a ``float`` a finite int or float,
+    and a ``tuple[float, ...]`` a non-empty tuple of such floats, each in the domain."""
     for f in fields(obj):
         v, dom = getattr(obj, f.name), f.metadata
+        elems = v if isinstance(v, tuple) else (v,)
         want = _type_problem(v, field_types(type(obj))[f.name]) or next(
             (f"{word} {dom[k]!r}" for k, (ok, word) in _DOMAIN.items()
-             if k in dom and not ok(v, dom[k])), None)
+             if k in dom and not all(ok(e, dom[k]) for e in elems)), None)
         if want:
             raise ConfigurationError(f"{type(obj).__name__}.{f.name} must be {want}, not {v!r}")
+
+
+def check_sigma_d(v):
+    """A data scale sigma_d as a float; ``ConfigurationError`` unless finite and positive."""
+    if not 0 < v <= float_info.max:
+        raise ConfigurationError(f"sigma_d must be finite and positive, not {v!r}")
+    return float(v)
+
+
+def check_counts(**counts):
+    """``ValueError`` naming the first of ``counts`` (name=value) below 1."""
+    for name, v in counts.items():
+        if v < 1:
+            raise ValueError(f"{name} must be at least 1, not {v!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, check_counts
 
 
 @dataclass(frozen=True)
@@ -49,23 +49,29 @@ def _sliced_w2_dirs(a, b, dirs):
     return float(np.mean(np.sqrt(np.mean(np.square(pa, out=pa), axis=1))))
 
 
-def _finite_points(a, b):
-    """Both point sets as float64 arrays; a non-finite point raises ``NumericsError``."""
+def _point_sets(a, b, min_rows, dim=None):
+    """Both point sets as float64 arrays of shape (n, d): 2-D, of one dimension
+    d (``dim`` when given) and at least ``min_rows`` rows each, else
+    ``ValueError`` naming the set; a non-finite point raises ``NumericsError``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    for name, v in (("a", a), ("b", b)):
+        if v.ndim != 2 or len(v) < min_rows or v.shape[1] != (dim or a.shape[1]):
+            raise ValueError(f"{name} has shape {v.shape}; both point sets must be (n, d) with "
+                             f"n >= {min_rows} and one dimension d{f' = {dim}' if dim else ''}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericsError("point sets must be finite")
     return a, b
 
 
 def sliced_w2(a, b, n_proj=64, seed=0):
-    """Sliced 2-Wasserstein distance over random unit directions; non-finite
+    """Sliced 2-Wasserstein distance of two (n, 2) point sets of one size over
+    ``n_proj`` >= 1 random unit directions (else ``ValueError``); non-finite
     points raise ``NumericsError``."""
-    a, b = _finite_points(a, b)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("batches must be nonempty")
+    a, b = _point_sets(a, b, 1, dim=2)
     if len(a) != len(b):
-        raise ValueError(f"batch sizes differ: {len(a)} vs {len(b)}")
+        raise ValueError(f"a and b sizes differ: {len(a)} vs {len(b)} rows")
+    check_counts(n_proj=n_proj)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2 * np.pi, n_proj)
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -133,16 +139,13 @@ def _self_kernel_sum(rows, cols, buf):
 def mmd_rbf(a, b, bandwidth=1.0):
     """Unbiased squared maximum mean discrepancy with an RBF kernel, clamped at 0.
 
-    Each self-kernel's diagonal is exp(0) = 1 exactly, so it counts as n.
-    Non-finite points raise ``NumericsError``; a bandwidth that is not positive
-    and finite or so small that 1/(2 bandwidth^2) is not, or point sets of
-    different dimension, raise ``ValueError``.
+    ``a`` and ``b`` are (n, d) point sets of one dimension d with n >= 2 each,
+    else ``ValueError``. Each self-kernel's diagonal is exp(0) = 1 exactly, so
+    it counts as n. Non-finite points raise ``NumericsError``; a bandwidth that
+    is not positive and finite or so small that 1/(2 bandwidth^2) is not raises
+    ``ValueError``.
     """
-    a, b = _finite_points(a, b)
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("the unbiased estimate needs at least 2 samples per side")
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"point sets of shapes {a.shape} and {b.shape} differ in dimension")
+    a, b = _point_sets(a, b, 2)
     if not (np.isfinite(bandwidth) and bandwidth > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     two_sq = 2.0 * float(bandwidth) ** 2
@@ -163,10 +166,7 @@ def mmd_rbf(a, b, bandwidth=1.0):
 
 
 def evaluate(samples, reference, seed=0):
-    """Bundle both metrics, at their default projection count and bandwidth,
-    against a reference set of equal size; sets of different sizes raise
-    ``ValueError``."""
-    if len(samples) != len(reference):
-        raise ValueError(f"sample and reference sizes differ: {len(samples)} vs {len(reference)}")
+    """Bundle both metrics, at their default projection count and bandwidth, of
+    two (n, 2) point sets of one size n >= 2 (which the metrics check)."""
     return MetricReport(sliced_w2=sliced_w2(samples, reference, seed=seed),
                         mmd_rbf=mmd_rbf(samples, reference), n_samples=len(samples), seed=seed)

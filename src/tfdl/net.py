@@ -11,10 +11,10 @@ The attention block is one table entry, ``autodiff.attention``, with its own
 forward, JVP and transpose, so a tape holds one node per block; each
 dense+SiLU layer (``autodiff.dense_silu``) and each sinusoidal embedding
 (``autodiff.sincos``) is one node too.
-Each of ``t``, ``cfg`` and ``y`` is a scalar, one value for the whole batch
-(every sampling step, search candidate and Euler step, and every distillation
-batch's guidance scale), or has one entry per row of ``x``: ``_prep`` checks
-that once, raising ``ValueError`` that names the argument, and is the one
+``x`` is (n, 2) with n >= 1, and a label ``y`` has an integer dtype. Each of
+``t``, ``cfg`` and ``y`` is a scalar, one value for the whole batch (as in
+every sampling step), or has one entry per row of ``x``: ``_prep`` checks each
+rule once, raising ``ValueError`` that names the argument, and is the one
 place a scalar label is repeated per row. A scalar ``t`` or ``cfg`` is
 embedded once per call, as one row that broadcasts over the batch.
 
@@ -101,11 +101,6 @@ def _traced(v):
     return isinstance(v, (Dual, ad.Var))
 
 
-def _as_batch(x):
-    x = np.asarray(x, dtype=np.float64)
-    return x.reshape(1, -1) if x.ndim == 1 else x
-
-
 class VelocityNet:
     """F(x, t, y, cfg) with value, forward-mode JVP, and reverse-mode gradient.
 
@@ -178,27 +173,32 @@ class VelocityNet:
         return (out, hidden) if collect_hidden else out
 
     def _prep(self, x, t, y, cfg):
-        """The call contract: ``t``, ``cfg`` and ``y`` each a scalar or one
-        entry per row of ``x`` (else ``ValueError`` naming the argument); a
-        scalar ``y`` repeated per row; every input finite, every label valid."""
+        """The call contract, one check per rule (``ValueError`` naming the
+        argument): ``x`` (n, 2) with n >= 1; ``t``, ``cfg`` and ``y`` a scalar or
+        one entry per row; ``y`` an integer dtype (no bool) and a valid class."""
         if not _traced(x):
-            x = _as_batch(x)
-        n = primal(x).shape[0]
+            x = np.asarray(x, dtype=np.float64)
+        xs = primal(x).shape
+        if len(xs) != 2 or xs[0] < 1 or xs[1] != 2:
+            raise ValueError(f"x has shape {xs}; the net takes shape (n, 2) with n >= 1")
+        n = xs[0]
         if not _traced(t):
             t = np.asarray(t, dtype=np.float64)
         if not _traced(cfg):
             cfg = np.asarray(0.0 if cfg is None else cfg, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        y = np.asarray(y)
+        if not np.issubdtype(y.dtype, np.integer):
+            raise ValueError(f"y has dtype {y.dtype}; a label takes an integer dtype")
         for name, v in (("t", t), ("y", y), ("cfg", cfg)):
             shape = primal(v).shape
             if shape not in ((), (n,)):
-                raise ValueError(f"{name} has shape {shape}; a batch of shape {primal(x).shape} "
+                raise ValueError(f"{name} has shape {shape}; a batch of shape {xs} "
                                  f"takes a scalar or shape ({n},)")
         if not (np.all(np.isfinite(primal(x))) and np.all(np.isfinite(primal(t)))
                 and np.all(np.isfinite(primal(cfg)))):
             raise NumericsError("non-finite network input")
         if np.any(y < 0) or np.any(y > self.n_classes):
-            raise ValueError("class index outside the embedding table")
+            raise ValueError(f"y holds a class outside the embedding table [0, {self.n_classes}]")
         return x, t, np.full(n, y) if y.ndim == 0 else y, cfg
 
     # -- public evaluation ----------------------------------------------------
@@ -229,10 +229,13 @@ class VelocityNet:
         return np.concatenate(outs), [np.concatenate(layer) for layer in zip(*hidden)]
 
     def jvp(self, x, t, y, cfg, x_tan, t_tan):
-        """Value and exact directional derivative along (x_tan, t_tan), where
-        ``t_tan`` holds one value per row."""
+        """Value and exact directional derivative along ``x_tan``, of the shape
+        of ``x``, and ``t_tan``, of shape (n,) (else ``ValueError`` naming it)."""
         x, t, y, cfg = self._prep(x, t, y, cfg)
-        t = np.broadcast_to(t, np.shape(t_tan))
+        for name, tan, want in (("x_tan", x_tan, x.shape), ("t_tan", t_tan, x.shape[:1])):
+            if np.shape(tan) != want:
+                raise ValueError(f"{name} has shape {np.shape(tan)}, not {want} (x is {x.shape})")
+        t = np.broadcast_to(t, x.shape[:1])
         out = self._core(self.params, Dual(x, x_tan), Dual(t, t_tan), y, cfg)
         if not np.all(np.isfinite(out.t)):
             raise NumericsError("non-finite JVP tangent")

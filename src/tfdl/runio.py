@@ -54,7 +54,7 @@ class RunConfig:
     teacher_seed: int = field(default=1, metadata={"ge": 0})
     distill_seed: int = field(default=2, metadata={"ge": 0})
     eval_seed: int = field(default=3, metadata={"ge": 0})
-    eval_cfg_scale: float = 4.5
+    eval_cfg_scale: float = field(default=4.5, metadata={"ge": 0, "le": 1e3})
     eval_samples: int = field(default=4096, metadata={"ge": 2})
     out_dir: str = "runs/default"
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_counts
 from .schedule import HALF_PI, trig_perturb
 
 TMAX_N_GRID = (50.0, 100.0, 200.0, 400.0)
@@ -64,7 +64,8 @@ def _step(student, x, t, y, cfg, z=None):
 
 
 def multistep_sample(student, sched, n, y, cfg, rng):
-    """Alternate solution prediction and renoising along the schedule."""
+    """Alternate solution prediction and renoising along the schedule; n >= 1."""
+    check_counts(n=n)
     sd = student.sigma_d
     x = sd * rng.standard_normal((n, 2))
     for i, t in enumerate(sched.times[:-1]):
@@ -84,12 +85,11 @@ def search_timesteps(student, metric_fn, steps, grid, n_eval, y, cfg, eval_seed=
     pass per candidate. Round k offers only candidates that leave at least
     ``steps - 1 - k`` positive grid points below them, so the walk always
     reaches ``steps`` steps; a grid too short for that raises
-    ``ConfigurationError`` before any pass. Returns the best schedule and the
-    score table as (step_index, candidate_t, metric) rows.
+    ``ConfigurationError`` before any pass, and a count below 1 ``ValueError``.
+    Returns the best schedule and its score table of (step, t, metric) rows.
     """
     grid = sorted(float(g) for g in grid)
-    if not grid:
-        raise ValueError("candidate grid must be nonempty")
+    check_counts(steps=steps, n_eval=n_eval, grid_points=len(grid))
     sd = student.sigma_d
 
     def feasible(cands, k):

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import primal
-from .errors import DomainError, check_fields
+from .errors import DomainError, check_fields, check_sigma_d
 
 HALF_PI = np.pi / 2
 
@@ -41,9 +41,7 @@ def flow_matching():
 
 
 def trigflow(sigma_d):
-    if not (np.isfinite(sigma_d) and sigma_d > 0):
-        raise ValueError(f"sigma_d must be finite and positive, not {sigma_d!r}")
-    return Schedule("trigflow", np.cos, np.sin, HALF_PI, float(sigma_d))
+    return Schedule("trigflow", np.cos, np.sin, HALF_PI, check_sigma_d(sigma_d))
 
 
 def _check_domain(sched, t):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import vmean, vsum
-from .errors import NumericsError, TrainingDivergence, check_fields
+from .errors import NumericsError, TrainingDivergence, check_counts, check_fields
 from .optim import Adam
 from .schedule import fm_perturb
 from .toydata import batch_arrays, minibatch_arrays
@@ -93,10 +93,9 @@ def euler_integrate(velocity, n, y, t_start, steps, sigma_d, rng):
     """Euler-integrate dx/dt = sigma_d * velocity(x, t, y) from t_start down to 0.
 
     The grid is uniform with ``steps`` steps and the initial state is
-    ``sigma_d`` times standard Gaussian noise.
+    ``sigma_d`` times standard Gaussian noise of ``n`` >= 1 points.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    check_counts(n=n, steps=steps)
     x = sigma_d * rng.standard_normal((n, 2))
     ts = np.linspace(t_start, 0.0, steps + 1)
     for i in range(steps):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, StateError
+from .errors import ConfigurationError, StateError, check_counts, check_sigma_d
 
 DATASET_NAMES = ("gauss-mix", "two-moons", "checkerboard")
 MOON_NOISE = 0.08   # standard deviation of the Gaussian jitter on the two moons
@@ -28,9 +28,7 @@ class Dataset:
     n_classes: int = field(default=1)
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_d) and self.sigma_d > 0):
-            raise ConfigurationError(f"dataset sigma_d must be finite and positive, "
-                                     f"not {self.sigma_d!r}")
+        check_sigma_d(self.sigma_d)
 
     def __len__(self):
         return len(self.points)
@@ -89,8 +87,7 @@ def generate(name, n, seed, components=3, comp_std=0.3, radius=2.0):
 
 def minibatch_arrays(ds, b, rng):
     """Uniform with-replacement batch: x0 of shape (b, 2), labels of shape (b,)."""
-    if b < 1:
-        raise ValueError("batch size must be at least 1")
+    check_counts(b=b)
     if len(ds) == 0:
         raise StateError("cannot sample from an empty dataset")
     idx = rng.integers(0, len(ds), b)
@@ -98,7 +95,7 @@ def minibatch_arrays(ds, b, rng):
 
 
 def batch_arrays(batch):
-    """An (x0, y) batch as float64 points and int64 labels."""
+    """An (x0, y) batch as float64 points and a label array (the net checks its dtype)."""
     x0, y = batch
-    return np.asarray(x0, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    return np.asarray(x0, dtype=np.float64), np.asarray(y)
 

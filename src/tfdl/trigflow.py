@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import primal, reshape, sqrt
-from .errors import DomainError
+from .errors import DomainError, check_sigma_d
 from .schedule import HALF_PI
 from .teacher import cfg_velocity, euler_integrate
 
@@ -57,10 +57,8 @@ class TrigFlowAdapter:
     """
 
     def __init__(self, inner, sigma_d, teacher_cfg=False):
-        if not (np.isfinite(sigma_d) and sigma_d > 0):
-            raise ValueError(f"sigma_d must be finite and positive, not {sigma_d!r}")
         self.inner = inner
-        self.sigma_d = float(sigma_d)
+        self.sigma_d = check_sigma_d(sigma_d)
         self.teacher_cfg = teacher_cfg
 
     def _flow_velocity(self, x_fm, tf, y, cfg, params):
