@@ -33,13 +33,16 @@ gradients do too. ``sincos(x)`` returns ``[sin x | cos x]`` along the last
 axis and keeps that output as its residual, so neither rule evaluates a
 transcendental.
 
-Two interpreters. An entry called on plain ndarrays runs its primal;
-otherwise the type of its traced operand interprets the call:
+One interpreter. ``Prim.__call__`` reads every call of an entry: in one pass
+over the operands it takes their values and notes the traced (live) ones. An
+entry called on plain ndarrays runs its primal. Otherwise it runs its forward
+(or its primal, whose output is then the residual) and wraps the output in the
+type of its traced operands, which are plain records:
 
 * ``Dual`` — forward mode. Carries (primal, tangent) pairs; ``jvp`` gives the
   output's tangent.
-* ``Var``  — reverse mode. Records a tape node whose parents are the live
-  operands and whose closure applies ``vjp``; ``backward()`` accumulates
+* ``Var``  — reverse mode. A tape node whose parents are the live operands and
+  whose closure applies ``vjp``; ``backward()`` accumulates
   gradients in reverse topological order. It consumes the tape as it goes:
   once a node's VJP has run, the node drops its closure (and with it the
   operand values and residual it holds), its parents and its gradient, so
@@ -132,19 +135,6 @@ class Dual(_Traced):
             t = np.asarray(tangent, dtype=np.float64)
             self.t = np.broadcast_to(t, self.p.shape) if t.shape != self.p.shape else t
 
-    @staticmethod
-    def _interpret(prim, xs, params, kw):
-        ps, ts = [], []
-        for x in xs:
-            if isinstance(x, Dual):
-                ps.append(x.p)
-                ts.append(x.t)
-            else:
-                ps.append(x)
-                ts.append(None)
-        y, r = prim._forward(ps, params, kw)
-        return Dual(y, prim.jvp(ts, ps, r, *params, **kw))
-
 
 class Var(_Traced):
     """Reverse-mode tape node holding value ``v`` and accumulated ``grad``."""
@@ -156,20 +146,6 @@ class Var(_Traced):
         self.grad = None
         self._parents = parents
         self._vjp = vjp
-
-    @staticmethod
-    def _interpret(prim, xs, params, kw):
-        vals, parents, live = [], [], []
-        for i, x in enumerate(xs):
-            if isinstance(x, Var):
-                vals.append(x.v)
-                parents.append(x)
-                live.append(i)
-            else:
-                vals.append(x)
-        y, r = prim._forward(vals, params, kw)
-        vjp = prim.vjp
-        return Var(y, parents, lambda g: vjp(g, vals, r, live, *params, **kw))
 
     def backward(self, seed=None):
         """Accumulate gradients of this (scalar) node into the tape's leaves.
@@ -261,18 +237,27 @@ class Prim:
     def __call__(self, *args, **kw):
         n = self.arity
         xs = args[0] if n is None else args[:n]
+        vals, live = [], []  # operand values; indices of the traced operands
         for x in xs:
             if isinstance(x, _Traced):
-                return x._interpret(self, xs, args[1 if n is None else n:], kw)
-        return self.primal(*args, **kw)
-
-    def _forward(self, xs, params, kw):
-        """(output, residual) of the operand list ``xs``."""
-        args = (xs,) if self.arity is None else xs
+                live.append(len(vals))
+                x = x.p if type(x) is Dual else x.v
+            vals.append(x)
+        if not live:
+            return self.primal(*args, **kw)
+        params = args[1 if n is None else n:]
+        ops = (vals,) if n is None else vals
         if self.fwd is None:
-            y = self.primal(*args, *params, **kw)
-            return y, y
-        return self.fwd(*args, *params, **kw)
+            y = r = self.primal(*ops, *params, **kw)
+        else:
+            y, r = self.fwd(*ops, *params, **kw)
+        if type(xs[live[0]]) is Dual:
+            ts = [None] * len(vals)
+            for i in live:
+                ts[i] = xs[i].t
+            return Dual(y, self.jvp(ts, vals, r, *params, **kw))
+        vjp = self.vjp
+        return Var(y, [xs[i] for i in live], lambda g: vjp(g, vals, r, live, *params, **kw))
 
 
 # -- the rule table ----------------------------------------------------------

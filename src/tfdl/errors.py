@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the config field checker."""
 
 import functools
+import numbers
 import operator
 from dataclasses import fields
 from sys import float_info
@@ -75,7 +76,8 @@ def check_sigma_d(v):
 
 
 def check_counts(**counts):
-    """``ValueError`` naming the first of ``counts`` (name=value) below 1."""
+    """``ValueError`` naming the first of ``counts`` (name=value) that is not an
+    integer (a bool is not one) of at least 1."""
     for name, v in counts.items():
-        if v < 1:
-            raise ValueError(f"{name} must be at least 1, not {v!r}")
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, not {v!r}")

@@ -4,7 +4,8 @@ An MLP (SiLU; width 128 and depth 4 by default) with a single-head attention
 block over a token reshaping of the hidden state, placed before hidden layer
 ``depth // 2``; the net is built from a ``NetSpec``, which holds every
 hyperparameter. Time enters through a sinusoidal embedding of
-``c_noise_scale * t``; the guidance scale enters through an embedding of
+``c_noise_scale * t`` at ``width // 2`` frequencies, whose sines and cosines
+fill a row of the width; the guidance scale enters through an embedding of
 ``0.1 * cfg`` added to the time embedding; class conditions come from a
 learned table with one reserved null row for the unconditional branch.
 The attention block is one table entry, ``autodiff.attention``, with its own
@@ -68,15 +69,11 @@ class NetSpec:
     ``net`` section, and with ``n_classes`` a checkpoint's rebuild metadata."""
     width: int = field(default=128, metadata={"ge": 1})
     depth: int = field(default=4, metadata={"ge": 1})
-    n_freq: int = field(default=64, metadata={"ge": 1})
     qk_norm: bool = True
     c_noise_scale: float = field(default=1.0, metadata={"gt": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if self.width != 2 * self.n_freq:
-            raise ConfigurationError(f"NetSpec.width must equal 2*n_freq so the time embedding "
-                                     f"adds directly (width {self.width}, n_freq {self.n_freq})")
         if self.width % N_TOKENS:
             raise ConfigurationError(f"NetSpec.width must be divisible by n_tokens ({N_TOKENS}), "
                                      f"not {self.width}")
@@ -89,7 +86,7 @@ def net_segments(n_classes, spec):
     layout can be checked before any net is allocated.
     """
     w, d = spec.width, spec.width // N_TOKENS
-    segs = [("time_freq", (spec.n_freq,)), ("cls_table", (n_classes + 1, w)),
+    segs = [("time_freq", (w // 2,)), ("cls_table", (n_classes + 1, w)),
             ("cfg_proj", (w, w)), ("in_w", (2, w)), ("in_b", (w,))]
     for i in range(spec.depth):
         segs += [(f"h{i}_w", (w, w)), (f"h{i}_b", (w,))]
@@ -115,7 +112,7 @@ class VelocityNet:
         rng, w = np.random.default_rng(seed), spec.width
         # top frequency capped so central differences at h=1e-5 stay a valid
         # oracle for the tangents: truncation ~ (f*h*|tan|)^2/6 per dimension
-        p["time_freq"] = np.geomspace(1.0, 300.0, spec.n_freq)
+        p["time_freq"] = np.geomspace(1.0, 300.0, w // 2)
         p["cls_table"] = 0.02 * rng.standard_normal(p.shapes["cls_table"])
         p["in_w"] = rng.standard_normal((2, w)) / np.sqrt(2.0)
         for i in range(spec.depth):
@@ -175,7 +172,8 @@ class VelocityNet:
     def _prep(self, x, t, y, cfg):
         """The call contract, one check per rule (``ValueError`` naming the
         argument): ``x`` (n, 2) with n >= 1; ``t``, ``cfg`` and ``y`` a scalar or
-        one entry per row; ``y`` an integer dtype (no bool) and a valid class."""
+        one entry per row; ``y`` an integer dtype (no bool) and a valid class;
+        ``x``, ``t`` and ``cfg`` finite (else ``NumericsError`` naming it)."""
         if not _traced(x):
             x = np.asarray(x, dtype=np.float64)
         xs = primal(x).shape
@@ -194,9 +192,9 @@ class VelocityNet:
             if shape not in ((), (n,)):
                 raise ValueError(f"{name} has shape {shape}; a batch of shape {xs} "
                                  f"takes a scalar or shape ({n},)")
-        if not (np.all(np.isfinite(primal(x))) and np.all(np.isfinite(primal(t)))
-                and np.all(np.isfinite(primal(cfg)))):
-            raise NumericsError("non-finite network input")
+        for name, v in (("x", x), ("t", t), ("cfg", cfg)):
+            if not np.all(np.isfinite(primal(v))):
+                raise NumericsError(f"{name} is a non-finite network input")
         if np.any(y < 0) or np.any(y > self.n_classes):
             raise ValueError(f"y holds a class outside the embedding table [0, {self.n_classes}]")
         return x, t, np.full(n, y) if y.ndim == 0 else y, cfg

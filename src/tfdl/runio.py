@@ -69,8 +69,10 @@ class RunConfig:
 
 
 # keys an earlier to_json wrote that are gone, each with the one value that
-# reproduces today's behaviour: that value loads and is dropped, any other exits 3
-RETIRED = {TimestepDistribution: {"sigma_d": None}, TeacherConfig: {"lr_decay": "cosine"}}
+# reproduces today's behaviour, or a function of the built section giving it:
+# that value loads and is dropped, any other exits 3
+RETIRED = {TimestepDistribution: {"sigma_d": None}, TeacherConfig: {"lr_decay": "cosine"},
+           NetSpec: {"n_freq": lambda spec: spec.width // 2}}
 
 
 def _build(cls, d, path=""):
@@ -81,10 +83,7 @@ def _build(cls, d, path=""):
     if not isinstance(d, dict):
         raise ConfigurationError(f"{where} must be a JSON object, not {d!r}")
     retired = RETIRED.get(cls, {})
-    for key in retired.keys() & d.keys():
-        if d[key] != retired[key]:
-            raise ConfigurationError(f"{prefix}{key} is retired: only {json.dumps(retired[key])} "
-                                     f"loads, not {json.dumps(d[key])}")
+    old = {k: d[k] for k in retired.keys() & d.keys()}
     d = {k: v for k, v in d.items() if k not in retired}
     types = field_types(cls)
     unknown = sorted(set(d) - set(types))
@@ -93,9 +92,15 @@ def _build(cls, d, path=""):
     args = {k: _build(types[k], v, prefix + k) if is_dataclass(types[k])
             else tuple(v) if isinstance(v, list) else v for k, v in d.items()}
     try:
-        return cls(**args)
+        built = cls(**args)
     except ConfigurationError as exc:  # check_fields says "Class.key"; say "section.key"
         raise ConfigurationError(prefix + str(exc).removeprefix(f"{cls.__name__}.")) from None
+    for key, value in old.items():
+        want = retired[key](built) if callable(retired[key]) else retired[key]
+        if value != want:
+            raise ConfigurationError(f"{prefix}{key} is retired: only {json.dumps(want)} "
+                                     f"loads, not {json.dumps(value)}")
+    return built
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -175,8 +180,8 @@ def load_net(path):
 
     The sidecar is the header's metadata less the net's own keys, so a
     re-save takes those from the net alone. Older headers also carry
-    ``n_tokens`` and ``attention``; a token count other than the net's, or a
-    net without the attention block, shows as a segment-layout mismatch.
+    ``n_tokens``, ``attention`` and ``n_freq``; a token count other than the
+    net's, or a net without the attention block, shows as a segment-layout mismatch.
     """
     header, flat = load_checkpoint(path)
     try:
@@ -195,7 +200,7 @@ def load_net(path):
                                "describes")
     net.params.flat[:] = flat
     return net, {k: v for k, v in meta.items()
-                 if k not in net.meta() and k not in ("n_tokens", "attention")}
+                 if k not in net.meta() and k not in ("n_tokens", "attention", "n_freq")}
 
 
 # -- CSV / SVG artifacts -----------------------------------------------------

@@ -1,7 +1,7 @@
 """Golden seeded replay: one small pipeline run whose arrays are checked in.
 
-``run()`` trains a width-32 teacher (depth 2, ``n_freq`` 16, 3,506
-parameters) for 20 iterations at batch 64 on a 4,000-point ``gauss-mix``,
+``run()`` trains a width-32 teacher (depth 2, so 16 time frequencies;
+3,506 parameters) for 20 iterations at batch 64 on a 4,000-point ``gauss-mix``,
 distills it for 6 steps at batch 32 twice (hybrid, and with
 ``lambda_adv=0``), draws 1-, 2- and 4-step samples of 256 points from the
 hybrid student and runs a 2-step timestep search over the CLI's grid. It
@@ -38,7 +38,7 @@ N_SAMPLES = 256
 def run():
     """The seeded run's arrays, by name."""
     ds = tfdl.generate("gauss-mix", 4000, seed=0)
-    net = tfdl.VelocityNet(ds.n_classes, spec=NetSpec(width=32, depth=2, n_freq=16), seed=1)
+    net = tfdl.VelocityNet(ds.n_classes, spec=NetSpec(width=32, depth=2), seed=1)
     net, curve = tfdl.train_teacher(net, ds, tfdl.TeacherConfig(iters=20, batch=64),
                                     np.random.default_rng(1))
     out = {"teacher_params": net.params.flat.copy(),

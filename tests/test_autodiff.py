@@ -294,8 +294,7 @@ def _tape_nodes(root):
 
 
 def _net_tape(rows, width=32):
-    net = tfdl.VelocityNet(3, spec=NetSpec(width=width, n_freq=width // 2), seed=0,
-                           zero_out=False)
+    net = tfdl.VelocityNet(3, spec=NetSpec(width=width), seed=0, zero_out=False)
     rng = np.random.default_rng(0)
     leaves = net.params.as_vars()
     out = net.forward(rng.standard_normal((rows, 2)), rng.uniform(0, 1, rows),

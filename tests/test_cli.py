@@ -113,7 +113,7 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     ("dataset", "n", 0),
     ("dataset", "n", 1),
     ("net", "width", 100),
-    # width = 2·n_freq holds, but 36 does not split into the net's 8 tokens
+    # the retired n_freq is width // 2, but 36 does not split into the net's 8 tokens
     pytest.param("net", "n_tokens", {"width": 36, "n_freq": 18}, id="net-width-36-n_freq-18"),
     ("teacher", "iters", 0),
     ("teacher", "batch", 0),
@@ -169,6 +169,8 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     pytest.param("teacher", "lr", 10 ** 400, id="teacher-lr-10**400"),
     # a retired key loads only with the one value that is today's behaviour
     pytest.param("teacher", "teacher.lr_decay", {"lr_decay": "none"}, id="teacher-lr_decay-none"),
+    # the retired n_freq loads only as width // 2
+    pytest.param("net", "net.n_freq", {"width": 32, "n_freq": 8}, id="net-width-32-n_freq-8"),
     # a cross-field rule names its section too
     pytest.param("net", "net.width", {"width": 100}, id="net-width-100-path"),
     pytest.param("distill", "distill.use_scm", {"use_scm": False, "lambda_adv": 0.0},
@@ -270,7 +272,7 @@ def test_negative_seed_flag_exits_3(tmp_path, capsys):
 def _probe_config(out):
     """A small run config: width 32, depth 2, 20 teacher iterations, 4 distill steps."""
     d = json.loads(RunConfig().to_json())
-    d["net"].update(width=32, depth=2, n_freq=16)
+    d["net"].update(width=32, depth=2)
     d["teacher"]["iters"] = 20
     d["distill"]["iters"] = 4
     d["eval_samples"] = 256

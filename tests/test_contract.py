@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tfdl.distill import DistillConfig
-from tfdl.errors import ConfigurationError
+from tfdl.errors import ConfigurationError, NumericsError
 from tfdl.metrics import sliced_w2
 from tfdl.net import NetSpec, VelocityNet
 from tfdl.runio import RunConfig
@@ -17,7 +17,7 @@ from tfdl.sampler import default_schedule, multistep_sample, search_timesteps
 from tfdl.teacher import euler_integrate
 from tfdl.trigflow import TrigFlowAdapter
 
-NET = VelocityNet(3, spec=NetSpec(width=16, depth=1, n_freq=8))
+NET = VelocityNet(3, spec=NetSpec(width=16, depth=1))
 ADAPTER = TrigFlowAdapter(NET, 1.0)
 X = np.zeros((10, 2))
 
@@ -55,11 +55,18 @@ ROWS = [
      "x"),
     ("forward-x-1d", lambda: NET.forward(np.zeros(4), 0.5, 0), ValueError, "x"),
     ("forward-x-scalar", lambda: NET.forward(0.0, 0.5, 0), ValueError, "x"),
+    ("forward-x-nan", lambda: NET.forward(np.full((10, 2), np.nan), 0.5, 0), NumericsError,
+     "x"),
+    ("forward-t-nan", lambda: NET.forward(X, np.nan, 0), NumericsError, "t"),
+    ("forward-cfg-inf", lambda: NET.forward(X, 0.5, 0, np.inf), NumericsError, "cfg"),
     ("multistep_sample-n-0", lambda: _sample(0), ValueError, "n"),
     ("multistep_sample-n--1", lambda: _sample(-1), ValueError, "n"),
+    ("multistep_sample-n-2.5", lambda: _sample(2.5), ValueError, "n"),
+    ("multistep_sample-n-True", lambda: _sample(True), ValueError, "n"),
     ("search_timesteps-n_eval-0", lambda: _search(n_eval=0), ValueError, "n_eval"),
     ("search_timesteps-steps-0", lambda: _search(steps=0), ValueError, "steps"),
     ("search_timesteps-steps--1", lambda: _search(steps=-1), ValueError, "steps"),
+    ("search_timesteps-steps-2.5", lambda: _search(steps=2.5), ValueError, "steps"),
     ("euler_integrate-n-0", lambda: _euler(0), ValueError, "n"),
     ("sliced_w2-1d", lambda: sliced_w2(np.zeros(4), np.ones(4)), ValueError, "a"),
     ("sliced_w2-3-columns", lambda: sliced_w2(np.zeros((4, 3)), np.ones((4, 3))), ValueError,
@@ -67,6 +74,8 @@ ROWS = [
     ("sliced_w2-b-3-columns", lambda: sliced_w2(np.zeros((4, 2)), np.ones((4, 3))), ValueError,
      "b"),
     ("sliced_w2-n_proj-0", lambda: sliced_w2(np.zeros((4, 2)), np.ones((4, 2)), n_proj=0),
+     ValueError, "n_proj"),
+    ("sliced_w2-n_proj-2.5", lambda: sliced_w2(np.zeros((4, 2)), np.ones((4, 2)), n_proj=2.5),
      ValueError, "n_proj"),
     ("RunConfig-eval_cfg_scale-1e300", lambda: RunConfig(eval_cfg_scale=1e300),
      ConfigurationError, "RunConfig.eval_cfg_scale"),

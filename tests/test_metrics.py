@@ -282,7 +282,7 @@ def test_runconfig_written_before_lr_decay_was_retired_loads():
     path = os.path.join(os.path.dirname(__file__), "old_run_config.json")
     with open(path) as fh:
         text = fh.read()
-    assert '"lr_decay": "cosine"' in text
+    assert '"lr_decay": "cosine"' in text and '"n_freq": 64' in text
     assert RunConfig.from_json(text) == RunConfig()
 
 
@@ -307,7 +307,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 
 def test_checkpoint_of_small_spec_roundtrips(tmp_path):
-    spec = NetSpec(width=16, depth=1, n_freq=8)
+    spec = NetSpec(width=16, depth=1)
     net = tfdl.VelocityNet(2, spec=spec, seed=3, zero_out=False)
     path = tmp_path / "small.ckpt"
     save_net(path, net, {"sigma_d": 0.5})
@@ -320,7 +320,7 @@ def test_checkpoint_of_small_spec_roundtrips(tmp_path):
 
 def test_checkpoint_header_with_top_level_net_flags_loads(tmp_path):
     # older headers also carried c_noise_scale and qk_norm outside meta, and
-    # n_tokens and attention inside it; the reader rebuilds the net from the
+    # n_tokens, attention and n_freq inside it; the reader rebuilds the net from the
     # NetSpec keys of meta alone, and a re-save drops the old keys
     net = tfdl.VelocityNet(3, spec=NetSpec(qk_norm=False, c_noise_scale=1000.0), seed=8,
                            zero_out=False)
@@ -330,9 +330,9 @@ def test_checkpoint_header_with_top_level_net_flags_loads(tmp_path):
     head, payload = new_bytes.split(b"\n", 1)
     header = json.loads(head)
     assert "c_noise_scale" not in header and "qk_norm" not in header
-    assert "n_tokens" not in header["meta"] and "attention" not in header["meta"]
+    assert not {"n_tokens", "attention", "n_freq"} & header["meta"].keys()
     header.update(c_noise_scale=net.spec.c_noise_scale, qk_norm=net.spec.qk_norm)
-    header["meta"].update(n_tokens=N_TOKENS, attention=True)
+    header["meta"].update(n_tokens=N_TOKENS, attention=True, n_freq=net.spec.width // 2)
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
     loaded, meta = load_net(path)
     np.testing.assert_array_equal(loaded.params.flat, net.params.flat)

@@ -350,7 +350,7 @@ def test_folded_layer0_matches_tape_forward(monkeypatch, depth, n):
 def test_conditioning_of_another_length_is_rejected(name, n, size, scalar_rest):
     # a one-entry array used to broadcast up to one row block (folded or not)
     # and to fail inside numpy above it; every length but n now fails up front
-    net = tfdl.VelocityNet(3, spec=NetSpec(width=16, depth=4, n_freq=8), seed=50)
+    net = tfdl.VelocityNet(3, spec=NetSpec(width=16, depth=4), seed=50)
     rng = np.random.default_rng(50)
     x = rng.standard_normal((n, 2))
     scalars = {"t": 0.7, "y": 1, "cfg": 4.5}

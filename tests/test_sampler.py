@@ -96,7 +96,7 @@ def _quadratic_metric(center):
 def test_sampling_folds_layer0_for_every_row_of_each_pass(monkeypatch):
     # the sampler hands the student one scalar time per pass, so every step and
     # every search candidate takes the folded hidden layer 0 for all its rows
-    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=4, n_freq=8), seed=5)
+    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=4), seed=5)
     adapter = TrigFlowAdapter(net, 0.8)
     rows = []
     folded = tfdl.VelocityNet._folded_layer0
@@ -177,7 +177,7 @@ def _analytic_case(n):
 
 
 def _velocity_net_case(n):
-    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=1, n_freq=8), seed=4)
+    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=1), seed=4)
     labels = np.random.default_rng(2).integers(0, 2, n)
     return TrigFlowAdapter(net, 0.8), labels, _quadratic_metric(np.array([0.1, -0.2]))
 
@@ -200,7 +200,7 @@ def test_search_table_equals_naive_rescoring(make_case):
 @pytest.mark.parametrize("teacher_cfg", [False, True])
 def test_scalar_label_equals_per_row_labels(teacher_cfg):
     # the sampler hands a scalar label to the net, which repeats it per row
-    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=4, n_freq=8), seed=5)
+    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=4), seed=5)
     adapter = TrigFlowAdapter(net, 0.8, teacher_cfg=teacher_cfg)
     n, per_row = ORACLE_N, np.full(ORACLE_N, 1)
     sched = default_schedule(4, 0.8)
@@ -238,7 +238,7 @@ def test_search_one_consistency_call_per_candidate():
 def test_search_weak_student_reaches_all_steps():
     # an untrained net favours the smallest time in every round; the walk must
     # still leave room below each pick instead of running out of candidates
-    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=1, n_freq=8), seed=4)
+    net = tfdl.VelocityNet(2, spec=NetSpec(width=16, depth=1), seed=4)
     adapter = TrigFlowAdapter(net, 0.8)
     ds = tfdl.generate("gauss-mix", 2000, seed=0, components=2)
     rng = np.random.default_rng(0)
